@@ -17,12 +17,15 @@
 // generic loop would have at the same point, so the engine may bail at any
 // iteration: barriers (syscalls, annotations, halt, rep-movs), possible
 // watchpoint hits (the outer ExecuteOne redoes the access with the full
-// Match/undo machinery), quantum expiry and blocked threads (outer
-// Reschedule), timer deadlines (outer WakeExpiredTimers), and invalid PCs
-// (outer error/exit handling). Deoptimization triggers that hold for a
-// whole Run call (replaying/guided controller, address tracing) are
-// decided in Run; the access-level sink mask is re-checked here on every
-// entry because sinks may subscribe between Run calls.
+// Match/undo machinery), shared-data accesses while an access-level sink
+// listens (ExecuteOne emits their events), quantum expiry and blocked
+// threads (outer Reschedule), timer deadlines (outer WakeExpiredTimers),
+// and invalid PCs (outer error/exit handling). Schedule controllers need no
+// deopt: they are consulted only in PopRunnable, at quantum preemptions and
+// at begin_atomic, all reached outside fused ops with the instruction count
+// flushed. The only whole-run deopt, address tracing, is decided in Run;
+// the sink mask is re-read on every entry because sinks may subscribe
+// between Run calls.
 #include <algorithm>
 
 #include "sched/machine.h"
@@ -31,34 +34,41 @@ namespace kivati {
 
 namespace {
 
-// Conservative pre-execution filter for ops inside non-check-free blocks:
-// true when some access of `op` might overlap an armed watchpoint range
-// (superset of DebugRegisterFile::Match, so a false return proves no trap
-// — and no old-value capture — can be needed; mirrors CollectAccesses).
-bool MayTouchArmed(const exec::TransOp& op, const ThreadContext& t,
-                   const DebugRegisterFile& regs) {
+// Conservative pre-execution filter: true when `op` must go to the outer
+// ExecuteOne because some access of it
+//   - might overlap an armed watchpoint range (superset of
+//     DebugRegisterFile::Match, so a false return proves no trap — and no
+//     old-value capture — can be needed), or
+//   - with `kShared` (an access-level sink listens), starts in shared data
+//     (IsSharedData): exactly the accesses EmitAccessEvents reports, so an
+//     op without one emits no event and may stay fused.
+// Mirrors CollectAccesses.
+template <bool kShared>
+bool MustLeave(const exec::TransOp& op, const ThreadContext& t, const DebugRegisterFile& regs) {
   const auto ea = [&t](RegId base, std::int64_t offset) {
     const std::uint64_t b = base == kNoReg ? 0 : ReadReg(t, base);
     return b + static_cast<std::uint64_t>(offset);
+  };
+  const auto hit = [&regs](Addr addr, unsigned size) {
+    return regs.MayMatch(addr, size) || (kShared && IsSharedData(addr));
   };
   switch (op.kind) {
     case exec::FusedKind::kLoad:
     case exec::FusedKind::kStore:
     case exec::FusedKind::kXchg:
-      return regs.MayMatch(ea(op.base, op.a), op.size);
+      return hit(ea(op.base, op.a), op.size);
     case exec::FusedKind::kMovM:
-      return regs.MayMatch(ea(op.base2, op.b), op.size) ||
-             regs.MayMatch(ea(op.base, op.a), op.size);
+      return hit(ea(op.base2, op.b), op.size) || hit(ea(op.base, op.a), op.size);
     case exec::FusedKind::kPushM:
-      return regs.MayMatch(ea(op.base, op.a), op.size) || regs.MayMatch(t.sp - 8, 8);
+      return hit(ea(op.base, op.a), op.size) || hit(t.sp - 8, 8);
     case exec::FusedKind::kCallInd:
-      return regs.MayMatch(ea(op.base, op.a), 8) || regs.MayMatch(t.sp - 8, 8);
+      return hit(ea(op.base, op.a), 8) || hit(t.sp - 8, 8);
     case exec::FusedKind::kPush:
     case exec::FusedKind::kCall:
-      return regs.MayMatch(t.sp - 8, 8);
+      return hit(t.sp - 8, 8);
     case exec::FusedKind::kPop:
     case exec::FusedKind::kRet:
-      return regs.MayMatch(t.sp, 8);
+      return hit(t.sp, 8);
     default:
       return false;  // no memory access
   }
@@ -248,11 +258,16 @@ inline std::uint32_t ExecFusedOp(const exec::TransOp* ops, std::uint32_t cur,
 }  // namespace
 
 std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
-  // Access-level sinks (the HB oracle, --trace-events=access) need every
-  // instruction's access list: mandatory per-instruction deoptimization.
-  if ((trace_.hub().mask() & kAccessEventKinds) != 0) {
-    return 0;
-  }
+  // Access-level sinks (the HB oracle, --trace-events=access) see only
+  // shared-data accesses, so only ops with one leave for ExecuteOne; stack
+  // traffic and register ops stay fused. The loop is instantiated per case
+  // so runs without a sink carry no per-op sink test.
+  return (trace_.hub().mask() & kAccessEventKinds) != 0 ? RunFused<true>(max_cycles, entry_core)
+                                                        : RunFused<false>(max_cycles, entry_core);
+}
+
+template <bool kSink>
+std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
   const exec::BlockTranslation& trans = image_->blocks;
   const exec::TransOp* const ops = trans.ops();
   const Cycles ucost = config_.costs.user_instruction;
@@ -264,15 +279,21 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
     std::fill(block_cursors_.begin(), block_cursors_.end(), kNoOp);
   }
 
-  // The hoisted watchpoint filter, memoized per core: one check-free verdict
-  // per (block, register generation, invalidation epoch) instead of a
-  // per-access scan; non-check-free blocks fall back to the per-op
-  // conservative test. True means the op must go to the outer ExecuteOne,
-  // which redoes the access with exact Match and trap delivery
-  // (MayTouchArmed is a superset of Match, so a fused-executed op provably
-  // traps nothing).
-  const auto may_trap = [&](CoreId core, Core& c, const exec::TransOp& op,
-                            const ThreadContext& t) {
+  // The per-op exit test at loop iterations; true sends the op to the outer
+  // ExecuteOne, which redoes the access with exact Match and trap delivery
+  // and emits its access events. The hoisted watchpoint filter is memoized
+  // per core: one check-free verdict per (block, register generation,
+  // invalidation epoch) instead of a per-access scan; non-check-free blocks
+  // fall back to the per-op conservative test, and so does every op while
+  // a sink listens.
+  const auto must_leave = [&](CoreId core, Core& c, const exec::TransOp& op,
+                              const ThreadContext& t) {
+    if constexpr (kSink) {
+      return MustLeave<true>(op, t, c.debug_regs);
+    }
+    if (hooks_ == nullptr || !c.debug_regs.any_armed()) {
+      return false;
+    }
     BlockVerdict& v = block_verdicts_[core];
     const std::uint64_t gen = c.debug_regs.generation();
     if (v.block != op.block || v.generation != gen || v.epoch != block_epoch_) {
@@ -281,7 +302,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
       v.epoch = block_epoch_;
       v.check_free = trans.BlockCheckFree(op.block, c.debug_regs);
     }
-    return !v.check_free && MayTouchArmed(op, t, c.debug_regs);
+    return !v.check_free && MustLeave<false>(op, t, c.debug_regs);
   };
 
   // Two-core lockstep eligibility. Within one RunTranslated call nothing can
@@ -319,8 +340,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
       return 0;  // thread-exit PC or invalid PC: generic handling
     }
     const exec::TransOp& op = ops[cur];
-    if (op.kind == exec::FusedKind::kBarrier ||
-        (hooks_ != nullptr && c.debug_regs.any_armed() && may_trap(entry_core, c, op, t))) {
+    if (op.kind == exec::FusedKind::kBarrier || must_leave(entry_core, c, op, t)) {
       return 0;
     }
     now_ = c.clock;
@@ -368,14 +388,18 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
             cur1 = trans.OpIndexOfPc(t1.pc);
           }
           if (pairs != 0 && cur0 != kNoOp && cur1 != kNoOp) {
-            const bool armed0 = hooks_ != nullptr && c0.debug_regs.any_armed();
-            const bool armed1 = hooks_ != nullptr && c1.debug_regs.any_armed();
+            // An op may have to leave the chunk only when its core has an
+            // armed watchpoint or an access-level sink listens; with
+            // neither, the loop pays one test per op.
+            const bool watch0 = kSink || (hooks_ != nullptr && c0.debug_regs.any_armed());
+            const bool watch1 = kSink || (hooks_ != nullptr && c1.debug_regs.any_armed());
             // Per-op accounting (clocks, quanta, instruction counts) is
             // batched to the chunk exit: nothing inside the loop reads it,
             // and no hook can fire that would observe it mid-chunk. The
             // check-free verdict is likewise cached per *block run* in
             // locals — the debug registers cannot change inside the chunk,
-            // so a verdict holds until control moves to another block.
+            // so a verdict holds until control moves to another block. A
+            // listening sink needs the per-op test whatever the verdict.
             std::uint64_t done0 = 0;
             std::uint64_t done1 = 0;
             std::uint32_t blk0 = ~std::uint32_t{0};
@@ -387,13 +411,13 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
               if (o0.kind == exec::FusedKind::kBarrier) {
                 break;  // clocks stay tied; the general pick lands on c0
               }
-              if (armed0) {
+              if (watch0) {
                 if (o0.block != blk0) {
                   blk0 = o0.block;
-                  free0 = trans.BlockCheckFree(blk0, c0.debug_regs);
+                  free0 = !kSink && trans.BlockCheckFree(blk0, c0.debug_regs);
                 }
-                if (!free0 && MayTouchArmed(o0, t0, c0.debug_regs)) {
-                  break;
+                if (!free0 && MustLeave<kSink>(o0, t0, c0.debug_regs)) {
+                  break;  // as for a barrier: the general pick lands on c0
                 }
               }
               cur0 = ExecFusedOp(ops, cur0, t0, memory_, trans);
@@ -402,12 +426,12 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
               if (o1.kind == exec::FusedKind::kBarrier) {
                 break;  // c1 lags by one cycle now; the general pick is c1
               }
-              if (armed1) {
+              if (watch1) {
                 if (o1.block != blk1) {
                   blk1 = o1.block;
-                  free1 = trans.BlockCheckFree(blk1, c1.debug_regs);
+                  free1 = !kSink && trans.BlockCheckFree(blk1, c1.debug_regs);
                 }
-                if (!free1 && MayTouchArmed(o1, t1, c1.debug_regs)) {
+                if (!free1 && MustLeave<kSink>(o1, t1, c1.debug_regs)) {
                   break;
                 }
               }
@@ -479,7 +503,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
       block_cursors_[core] = kNoOp;
       return steps;
     }
-    if (hooks_ != nullptr && c.debug_regs.any_armed() && may_trap(core, c, op, t)) {
+    if (must_leave(core, c, op, t)) {
       block_cursors_[core] = kNoOp;
       return steps;
     }
@@ -528,7 +552,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
     // running"; the kernel syncs register generations against it. Keep it
     // as current as ExecuteOne would.
     executing_core_ = core;
-    const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
+    const bool watch = kSink || (hooks_ != nullptr && c.debug_regs.any_armed());
     std::uint32_t cu = cur;
     std::uint64_t done = 0;
     std::uint32_t blk = ~std::uint32_t{0};
@@ -543,14 +567,14 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
       if (nxt.kind == exec::FusedKind::kBarrier) {
         break;
       }
-      if (armed) {
-        // Same per-block-run verdict caching as the lockstep chunk: the
-        // registers are streak-constants.
+      if (watch) {
+        // Same per-op test and per-block-run verdict caching as the
+        // lockstep chunk: the registers are streak-constants.
         if (nxt.block != blk) {
           blk = nxt.block;
-          blk_free = trans.BlockCheckFree(blk, c.debug_regs);
+          blk_free = !kSink && trans.BlockCheckFree(blk, c.debug_regs);
         }
-        if (!blk_free && MayTouchArmed(nxt, t, c.debug_regs)) {
+        if (!blk_free && MustLeave<kSink>(nxt, t, c.debug_regs)) {
           break;
         }
       }

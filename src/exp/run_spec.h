@@ -81,9 +81,10 @@ struct RunSpec {
 
   // Attach the happens-before/lockset oracle (src/detect, docs/detectors.md)
   // to the run's trace hub. The detector subscribes to access-level events,
-  // which makes the interpreter collect every instruction's accesses — this
-  // is the "instrument everything" cost model Kivati is compared against
-  // (kivati compare); leave off for performance runs.
+  // which sends every instruction touching shared data through the
+  // per-instruction access-list path — the "instrument every shared access"
+  // cost model Kivati is compared against (kivati compare); leave off for
+  // performance runs.
   bool hb_detector = false;
 
   // Schedule record/replay (docs/replay.md) and guided fuzzing

@@ -13,10 +13,10 @@ std::uint8_t* AddressSpace::ChunkFor(Addr addr) {
     chunks_.resize(index + 1);
   }
   auto& chunk = chunks_[index];
-  if (chunk.empty()) {
-    chunk.assign(kChunkSize, 0);
+  if (chunk == nullptr) {
+    chunk = std::make_unique<std::uint8_t[]>(kChunkSize);
   }
-  return chunk.data();
+  return chunk.get();
 }
 
 const std::uint8_t* AddressSpace::ChunkForRead(Addr addr) const {
@@ -25,10 +25,10 @@ const std::uint8_t* AddressSpace::ChunkForRead(Addr addr) const {
     chunks_.resize(index + 1);
   }
   auto& chunk = chunks_[index];
-  if (chunk.empty()) {
-    chunk.assign(kChunkSize, 0);
+  if (chunk == nullptr) {
+    chunk = std::make_unique<std::uint8_t[]>(kChunkSize);
   }
-  return chunk.data();
+  return chunk.get();
 }
 
 std::uint64_t AddressSpace::ReadSlow(Addr addr, unsigned size) const {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -27,6 +28,11 @@ inline constexpr Addr kStackBase = 0x4000000;
 inline constexpr Addr kStackSize = 0x10000;  // 64 KiB per simulated thread
 inline constexpr Addr kSharedPageBase = 0x8000000;
 inline constexpr Addr kSharedPageSize = 0x1000;
+
+// Globals and heap: the only memory another thread's program logic can
+// observe (stacks are thread-private, the shared page is runtime-internal).
+// Access-level trace events report exactly the accesses starting here.
+inline constexpr bool IsSharedData(Addr addr) { return addr >= kDataBase && addr < kStackBase; }
 
 class AddressSpace {
  public:
@@ -41,13 +47,13 @@ class AddressSpace {
     const Addr index = addr >> kChunkBits;
     const Addr offset = addr & (kChunkSize - 1);
     if (index < chunks_.size() && offset + size <= kChunkSize) {
-      const auto& chunk = chunks_[index];
-      if (!chunk.empty()) {
+      const std::uint8_t* chunk = chunks_[index].get();
+      if (chunk != nullptr) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
         // Width-specialized memcpy: each case compiles to a single load
         // (the interpreter passes `size` at run time, so the portable
         // byte-assembly loop below would really loop).
-        const std::uint8_t* p = chunk.data() + offset;
+        const std::uint8_t* p = chunk + offset;
         switch (size) {
           case 8: {
             std::uint64_t v;
@@ -86,10 +92,10 @@ class AddressSpace {
     const Addr index = addr >> kChunkBits;
     const Addr offset = addr & (kChunkSize - 1);
     if (index < chunks_.size() && offset + size <= kChunkSize) {
-      auto& chunk = chunks_[index];
-      if (!chunk.empty()) {
+      std::uint8_t* chunk = chunks_[index].get();
+      if (chunk != nullptr) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-        std::uint8_t* p = chunk.data() + offset;
+        std::uint8_t* p = chunk + offset;
         switch (size) {
           case 8:
             std::memcpy(p, &value, 8);
@@ -136,8 +142,11 @@ class AddressSpace {
   Addr data_break() const { return data_break_; }
 
  private:
-  // Sparse backing store: fixed-size chunks materialized on first touch.
-  static constexpr Addr kChunkBits = 16;
+  // Sparse backing store: fixed-size chunks materialized (zeroed) on first
+  // touch. At 16 KiB a run's resident memory stays near what it touches — a
+  // thread's stack, the globals and the shared page take a chunk each, not
+  // 64 KiB apiece — and the table reaching the shared page is 64 KiB.
+  static constexpr Addr kChunkBits = 14;
   static constexpr Addr kChunkSize = Addr{1} << kChunkBits;
 
   std::uint64_t ReadSlow(Addr addr, unsigned size) const;
@@ -146,7 +155,7 @@ class AddressSpace {
   std::uint8_t* ChunkFor(Addr addr);
   const std::uint8_t* ChunkForRead(Addr addr) const;
 
-  mutable std::vector<std::vector<std::uint8_t>> chunks_;
+  mutable std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
   Addr data_break_ = kDataBase;
 };
 

@@ -342,15 +342,15 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
 RunResult Machine::Run(Cycles max_cycles) {
   RunResult result;
   const bool fast = config_.fast_loop;
-  // Block-translated execution needs the fast loop's caches and hands
-  // per-instruction control back whenever something needs instruction-exact
-  // decisions: a replaying or guided ScheduleController (record mode stays
-  // on — the decision stream is identical either way), address tracing, or
-  // an access-level trace sink (that one is re-checked per RunTranslated
-  // entry, since sinks may subscribe mid-run).
-  const bool block_ok = fast && config_.block_translate &&
-                        config_.trace_addr == kInvalidAddr &&
-                        (sched_ctl_ == nullptr || !sched_ctl_->replaying());
+  // Block-translated execution needs the fast loop's caches. Address tracing
+  // is its only whole-run deopt: it inspects every instruction's access
+  // list. A ScheduleController, recording or not, is consulted only in
+  // PopRunnable, at quantum preemptions and at begin_atomic; RunTranslated
+  // hands control back before each with instructions_executed_ flushed, so
+  // no decision, checkpoint or instruction stamp moves. Access-level sinks
+  // cost a per-op bail inside RunTranslated instead (re-read per entry,
+  // since they may subscribe mid-run).
+  const bool block_ok = fast && config_.block_translate && config_.trace_addr == kInvalidAddr;
   while (true) {
     const bool all_done = fast ? live_count_ == 0 : live_threads() == 0;
     if (all_done) {
@@ -397,10 +397,14 @@ RunResult Machine::Run(Cycles max_cycles) {
       }
       continue;
     }
-    if (block_ok && RunTranslated(max_cycles, core) != 0) {
-      // The fused loop advanced the machine and stopped at a consistent
-      // iteration boundary; re-derive everything at the top of the loop.
-      continue;
+    if (block_ok) {
+      const std::uint64_t fused = RunTranslated(max_cycles, core);
+      if (fused != 0) {
+        // The fused loop advanced the machine and stopped at a consistent
+        // iteration boundary; re-derive everything at the top of the loop.
+        fused_instructions_ += fused;
+        continue;
+      }
     }
     ExecuteOne(core);
     if (fast) {
@@ -759,10 +763,9 @@ void Machine::EmitAccessEvents(const ThreadContext& t, const Instruction& instr)
   // detectors key lock inference off this flag.
   const bool atomic_rmw = instr.op == Opcode::kXchg;
   for (const MemAccess& access : access_scratch_) {
-    // Shared data only: globals and heap. Stacks (thread-private) and the
-    // Kivati replica page (runtime-internal) are architecturally invisible
-    // to other threads' program logic.
-    if (access.addr < kDataBase || access.addr >= kStackBase) {
+    // Shared data only: the block engine's per-op bail (exec/block_exec.cc)
+    // relies on this being the same filter.
+    if (!IsSharedData(access.addr)) {
       continue;
     }
     const bool read = access.type == AccessType::kRead;
@@ -807,7 +810,8 @@ void Machine::ExecuteOne(CoreId core) {
   Cycles cost = config_.costs.user_instruction;
 
   // Access-level event sinks (the HB detector, --trace-events=access) need
-  // every instruction's access list with old values; the cached hub mask
+  // the access list, with old values, of every instruction run here (under
+  // the block engine, only those touching shared data); the cached hub mask
   // makes the check one load-and-test, and with no sink attached the fast
   // loop below is untouched.
   const bool access_events = (trace_.hub().mask() & kAccessEventKinds) != 0;

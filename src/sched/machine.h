@@ -67,11 +67,12 @@ struct MachineConfig {
   // Execute through the basic-block translation engine (exec/
   // block_translate.h): predecoded fused superinstructions with the
   // per-instruction watchpoint filter and scheduler poll hoisted to block
-  // boundaries. Only active together with fast_loop; the engine
-  // deoptimizes to per-instruction execution whenever a replaying/guided
-  // ScheduleController, an access-level trace sink, or address tracing
-  // needs instruction-exact decisions, and must be byte-identical either
-  // way (`kivati run --no-block-translate`, block_translate_test).
+  // boundaries. Only active together with fast_loop. Schedule controllers
+  // (record, replay, guided) run fused; while an access-level trace sink
+  // listens, only ops touching shared data take the per-instruction path;
+  // address tracing deoptimizes the whole run. Must be byte-identical
+  // either way (`kivati run --no-block-translate`, block_translate_test,
+  // fused_modes_test).
   bool block_translate = true;
 };
 
@@ -120,6 +121,9 @@ class Machine {
   ScheduleController* schedule_controller() const { return sched_ctl_; }
 
   std::uint64_t instructions_executed() const { return instructions_executed_; }
+  // The part of instructions_executed() the block engine ran fused (summed
+  // from RunTranslated's returns; zero with block translation off).
+  std::uint64_t fused_instructions() const { return fused_instructions_; }
 
   // --- Setup ---------------------------------------------------------------
 
@@ -281,7 +285,8 @@ class Machine {
   // predecoded ops across all cores in the exact discrete-event
   // interleaving of Run, hoisting the per-instruction dispatch and
   // watchpoint filtering, and returns to Run at the first op it cannot
-  // fuse (barriers, traps that may fire, scheduling decisions).
+  // fuse (barriers, traps that may fire, shared-data accesses while an
+  // access-level sink listens, scheduling decisions).
   // `entry_core` is the core Run picked *this iteration*: Run commits to
   // executing one instruction of that core's thread before re-deriving
   // anything — even when the Reschedule it just ran charged context-switch
@@ -291,6 +296,10 @@ class Machine {
   // instructions executed; 0 means no progress was possible and the caller
   // must take the generic path.
   std::uint64_t RunTranslated(Cycles max_cycles, CoreId entry_core);
+  // RunTranslated's loop, instantiated for whether an access-level sink
+  // listens (exec/block_exec.cc).
+  template <bool kSink>
+  std::uint64_t RunFused(Cycles max_cycles, CoreId entry_core);
 
   // Applies the semantics of `instr` for thread `t`. Returns the accesses
   // performed (in program order) for watchpoint checking. `filter` (fast
@@ -340,6 +349,7 @@ class Machine {
   ProgramCounter current_instruction_pc_ = 0;
   Cycles pending_extra_ = 0;
   std::uint64_t instructions_executed_ = 0;
+  std::uint64_t fused_instructions_ = 0;
 
   bool traced_write_pending_ = false;
 

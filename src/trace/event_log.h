@@ -45,8 +45,8 @@ enum class EventKind : std::uint8_t {
   // Access-level kinds (appended so the transition kinds above keep their
   // ordinal values). These feed the watchpoint-free detector backends
   // (src/detect, docs/detectors.md) and are opt-in: the empty --trace-events
-  // default excludes them, and emitting them makes the interpreter collect
-  // every instruction's access list.
+  // default excludes them, and emitting them sends every instruction that
+  // touches shared data through the per-instruction access-list path.
   kSharedRead,         // committed read of shared data; detail = packed
                        //   size/atomicity (PackAccessDetail), value = read
   kSharedWrite,        // committed write of shared data; value = written
@@ -61,7 +61,8 @@ inline constexpr std::uint32_t kAllEventKinds = (std::uint32_t{1} << kEventKindC
 inline constexpr std::uint32_t kTransitionEventKinds =
     (std::uint32_t{1} << static_cast<unsigned>(EventKind::kSharedRead)) - 1;
 // The per-access kinds whose emission requires the interpreter to build the
-// access list for every instruction (sched/machine.cc gates on this group).
+// access list of every instruction touching shared data (sched/machine.cc
+// and exec/block_exec.cc gate on this group).
 inline constexpr std::uint32_t kAccessEventKinds =
     (std::uint32_t{1} << static_cast<unsigned>(EventKind::kSharedRead)) |
     (std::uint32_t{1} << static_cast<unsigned>(EventKind::kSharedWrite));

@@ -17,8 +17,30 @@ unsigned BucketFor(Cycles value) {
 
 }  // namespace
 
+CycleHistogram::CycleHistogram(const CycleHistogram& other)
+    : buckets_(other.buckets_ == nullptr ? nullptr : std::make_unique<Buckets>(*other.buckets_)),
+      count_(other.count_),
+      sum_(other.sum_),
+      min_(other.min_),
+      max_(other.max_) {}
+
+CycleHistogram& CycleHistogram::operator=(const CycleHistogram& other) {
+  if (this != &other) {
+    *this = CycleHistogram(other);
+  }
+  return *this;
+}
+
+const CycleHistogram::Buckets& CycleHistogram::buckets() const {
+  static const Buckets kEmpty{};
+  return buckets_ == nullptr ? kEmpty : *buckets_;
+}
+
 void CycleHistogram::Record(Cycles value) {
-  ++buckets_[BucketFor(value)];
+  if (buckets_ == nullptr) {
+    buckets_ = std::make_unique<Buckets>();
+  }
+  ++(*buckets_)[BucketFor(value)];
   ++count_;
   sum_ += value;
   min_ = std::min(min_, value);
@@ -34,7 +56,7 @@ Cycles CycleHistogram::Percentile(double p) const {
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(p * static_cast<double>(count_) + 0.5));
   std::uint64_t cumulative = 0;
   for (unsigned bucket = 0; bucket < kBuckets; ++bucket) {
-    cumulative += buckets_[bucket];
+    cumulative += (*buckets_)[bucket];
     if (cumulative >= rank) {
       // The bucket's exclusive upper bound minus one, clamped to the values
       // actually observed so single-value histograms report exactly.

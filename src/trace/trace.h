@@ -152,14 +152,14 @@ class Trace {
   Trace(Trace&& other) noexcept
       : violations_(std::move(other.violations_)),
         marks_(std::move(other.marks_)),
-        stats_(other.stats_),
+        stats_(std::move(other.stats_)),
         events_(std::move(other.events_)) {
     hub_.Attach(&events_);
   }
   Trace& operator=(Trace&& other) noexcept {
     violations_ = std::move(other.violations_);
     marks_ = std::move(other.marks_);
-    stats_ = other.stats_;
+    stats_ = std::move(other.stats_);
     events_ = std::move(other.events_);  // ring contents; attachment stays ours
     hub_.RefreshMask();
     return *this;

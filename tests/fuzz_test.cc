@@ -99,11 +99,11 @@ TEST(FuzzGuidedRunTest, GuidedTraceReplaysStrictly) {
             exp::ToJson(replayed, /*include_wall_clock=*/false));
 }
 
-// The block engine must be schedule-transparent under guided fuzzing: a
-// guided controller counts as replaying, so the engine deopts to the
-// per-instruction loop, and the guided run's record and recorded
-// ScheduleTrace are byte-identical whether block translation is configured
-// on (the default) or off.
+// The block engine must be schedule-transparent under guided fuzzing:
+// guided runs execute fused — the strategy is consulted only at scheduling
+// decisions, which the fused loop hands back for — and the guided run's
+// record and recorded ScheduleTrace are byte-identical whether block
+// translation is on (the default) or off.
 TEST(FuzzGuidedRunTest, GuidedTraceIsEngineInvariant) {
   auto run_guided = [](bool block_translate) {
     exp::RunSpec spec = BugSpec("NSS-329072");

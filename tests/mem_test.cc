@@ -35,7 +35,7 @@ TEST(AddressSpaceTest, NarrowWriteLeavesNeighbors) {
 
 TEST(AddressSpaceTest, ChunkBoundaryStraddle) {
   AddressSpace mem;
-  const Addr boundary = (1u << 16) - 4;  // crosses the first chunk boundary
+  const Addr boundary = (1u << 16) - 4;  // crosses a chunk boundary
   mem.Write(boundary, 8, 0xAABBCCDDEEFF0011ULL);
   EXPECT_EQ(mem.Read(boundary, 8), 0xAABBCCDDEEFF0011ULL);
 }

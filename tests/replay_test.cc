@@ -90,11 +90,10 @@ INSTANTIATE_TEST_SUITE_P(AllCorpusBugs, CorpusReplayTest,
                          ::testing::Range<std::size_t>(0, apps::BugCorpus().size()));
 
 // Block-translated execution must not change schedule semantics. Recording
-// through the block engine (block_translate defaults on; record mode keeps
-// fusion active because the decision stream is pick-identical) must produce
-// a ScheduleTrace byte-identical to the fast loop's, and strict replay with
-// block translation configured must still reproduce the run exactly — the
-// replaying controller forces per-instruction deopt, which this pins down.
+// through the block engine (block_translate defaults on) must produce a
+// ScheduleTrace byte-identical to the fast loop's, and strict replay — which
+// runs fused too, since the controller is consulted only at decisions the
+// fused loop hands back for — must reproduce the run exactly.
 TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
   const exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
 
@@ -121,11 +120,12 @@ TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
             exp::ToJson(replayed, /*include_wall_clock=*/false));
 }
 
-// An access-level TraceSink subscribing *mid-run* must deopt the block
-// engine at its next entry: every committed shared read/write after the
-// subscription point is observed, and the run's outcome is unchanged
-// relative to the fast loop doing the same dance.
-TEST(BlockEngineScheduleTest, MidRunAccessSinkSubscriptionDeopts) {
+// An access-level TraceSink subscribing *mid-run* is picked up at the block
+// engine's next entry: every committed shared read/write after the
+// subscription point is observed, the run's outcome is unchanged relative
+// to the fast loop doing the same dance, and the engine keeps fusing the ops
+// that touch no shared data.
+TEST(BlockEngineScheduleTest, MidRunAccessSinkSubscriptionStaysFused) {
   struct AccessSink : TraceSink {
     std::vector<std::string> events;
     std::uint32_t wants_mask() const override { return kAccessEventKinds; }
@@ -136,26 +136,39 @@ TEST(BlockEngineScheduleTest, MidRunAccessSinkSubscriptionDeopts) {
     }
   };
 
+  struct Observed {
+    std::string json;
+    std::vector<std::string> events;
+    std::uint64_t fused_at_attach = 0;
+    std::uint64_t fused_at_end = 0;
+  };
   const exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
   auto run_with = [&base](bool block_translate) {
     exp::RunSpec spec = base;
     spec.machine.block_translate = block_translate;
     exp::BuiltRun built = exp::BuildEngine(spec);
     AccessSink sink;
+    Observed observed;
     built.engine->Run(*spec.budget / 2);
+    observed.fused_at_attach = built.engine->machine().fused_instructions();
     built.engine->trace().hub().Attach(&sink);
     const RunResult result = built.engine->Run(spec.budget);
+    observed.fused_at_end = built.engine->machine().fused_instructions();
     const exp::RunRecord record =
         exp::MakeRecord(base, *built.app, *built.engine, result);
-    return std::make_pair(exp::ToJson(record, /*include_wall_clock=*/false),
-                          std::move(sink.events));
+    observed.json = exp::ToJson(record, /*include_wall_clock=*/false);
+    observed.events = std::move(sink.events);
+    return observed;
   };
 
-  const auto block = run_with(true);
-  const auto fast = run_with(false);
-  EXPECT_FALSE(block.second.empty()) << "no shared accesses observed post-attach";
-  EXPECT_EQ(block.first, fast.first);
-  EXPECT_EQ(block.second, fast.second);
+  const Observed block = run_with(true);
+  const Observed fast = run_with(false);
+  EXPECT_FALSE(block.events.empty()) << "no shared accesses observed post-attach";
+  EXPECT_EQ(block.json, fast.json);
+  EXPECT_EQ(block.events, fast.events);
+  EXPECT_GT(block.fused_at_attach, 0u);
+  EXPECT_GT(block.fused_at_end, block.fused_at_attach) << "the sink stopped fusion";
+  EXPECT_EQ(fast.fused_at_end, 0u);
 }
 
 TEST(ReplayDivergenceTest, TamperedPickIsDetected) {
