@@ -1,29 +1,39 @@
-// The block-translation engine's fused execution loop (Machine member; see
+// The block-translation engine's round executor (Machine member; see
 // exec/block_translate.h for the translation itself).
 //
-// Byte-identity with the generic loop is the design constraint: with the
-// default cost model every user instruction costs one cycle, so two busy
-// cores leapfrog each other every instruction and the *global* interleaving
-// — which racy shared-memory values and ScheduleTrace instruction stamps
-// depend on — cannot be reordered. The fused loop therefore replicates
-// Run's discrete-event iteration exactly (min-clock core pick, deadline
-// check, preemption poll) over predecoded ops, and hoists only the
-// per-instruction *overhead*: the PC->index lookup, the fat Instruction
+// Byte-identity with the generic loop is the design constraint: racy
+// shared-memory values and ScheduleTrace instruction stamps depend on the
+// *global* interleaving, so fused execution must reproduce Run's
+// discrete-event (clock, id) pick exactly. It can do so in bulk because,
+// at unit instruction cost and between kernel entries, that pick is a
+// fixed pattern: at cycle R, every core whose clock is R acts once, in id
+// order, and moves to R + 1. The executor therefore runs *rounds* over
+// predecoded ops under one static stop point — the first (clock, id) pick
+// at which a quantum expires, the cycle cap or a timer deadline is reached,
+// or a core must leave fused code — and hoists the per-instruction
+// overhead: the pick itself, the PC->index lookup, the fat Instruction
 // load, the access-list build, the trap Match scans, the trace/event mask
-// tests, and the pending-extra accounting — none of which can observe
-// anything for ops proven unable to trap.
+// tests and the per-op accounting.
 //
-// Every iteration boundary leaves the machine in exactly the state the
-// generic loop would have at the same point, so the engine may bail at any
-// iteration: barriers (syscalls, annotations, halt, rep-movs), possible
-// watchpoint hits (the outer ExecuteOne redoes the access with the full
-// Match/undo machinery), shared-data accesses while an access-level sink
-// listens (ExecuteOne emits their events), quantum expiry and blocked
-// threads (outer Reschedule), timer deadlines (outer WakeExpiredTimers),
-// and invalid PCs (outer error/exit handling). Schedule controllers need no
-// deopt: they are consulted only in PopRunnable, at quantum preemptions and
-// at begin_atomic, all reached outside fused ops with the instruction count
-// flushed. The only whole-run deopt, address tracing, is decided in Run;
+// Idle cores are *parked* while the ready queue is empty and their
+// idle-loop sync is a proven no-op (no hooks, or IdleSyncIsNoOp): each
+// skipped IdleCoreStep is then a pure clock jump, replayed in closed form
+// on exit. Neither condition can change inside the rounds, since nothing
+// there enters the kernel.
+//
+// Every exit leaves the machine in exactly the state the generic loop has
+// at the same pick, so the executor may stop at any turn: barriers
+// (syscalls, annotations, halt, rep-movs), possible watchpoint hits (the
+// outer ExecuteOne redoes the access with the full Match/undo machinery),
+// shared-data accesses while an access-level sink listens (ExecuteOne
+// emits their events), untranslated targets, quantum expiry and blocked
+// threads (outer Reschedule), idle cores facing a scheduling decision,
+// timer deadlines (outer WakeExpiredTimers) and the cycle cap. An idle core
+// whose sync is a real one is stepped here, and the rounds are re-derived.
+// Schedule controllers need no deopt: they are consulted only in
+// PopRunnable, at quantum preemptions and at begin_atomic, all reached
+// outside fused ops with the instruction count flushed. Run decides the
+// two whole-run deopts, address tracing and a non-unit instruction cost;
 // the sink mask is re-read on every entry because sinks may subscribe
 // between Run calls.
 #include <algorithm>
@@ -77,8 +87,7 @@ bool MustLeave(const exec::TransOp& op, const ThreadContext& t, const DebugRegis
 // Executes one fused op (anything but kBarrier) and returns the cursor of
 // the next op — kNoOp when a dynamic target (indirect call, return) has no
 // translation, in which case the caller re-derives state from the PC. Shared
-// by the general interleaved loop and the two-core lockstep loop so the
-// semantics exist exactly once.
+// by the entry op and the rounds so the semantics exist exactly once.
 inline std::uint32_t ExecFusedOp(const exec::TransOp* ops, std::uint32_t cur,
                                  ThreadContext& t, AddressSpace& memory,
                                  const exec::BlockTranslation& trans) {
@@ -270,7 +279,6 @@ template <bool kSink>
 std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
   const exec::BlockTranslation& trans = image_->blocks;
   const exec::TransOp* const ops = trans.ops();
-  const Cycles ucost = config_.costs.user_instruction;
   constexpr std::uint32_t kNoOp = exec::BlockTranslation::kNoOp;
   if (block_cursors_.size() != cores_.size()) {
     block_cursors_.assign(cores_.size(), kNoOp);
@@ -279,53 +287,13 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     std::fill(block_cursors_.begin(), block_cursors_.end(), kNoOp);
   }
 
-  // The per-op exit test at loop iterations; true sends the op to the outer
-  // ExecuteOne, which redoes the access with exact Match and trap delivery
-  // and emits its access events. The hoisted watchpoint filter is memoized
-  // per core: one check-free verdict per (block, register generation,
-  // invalidation epoch) instead of a per-access scan; non-check-free blocks
-  // fall back to the per-op conservative test, and so does every op while
-  // a sink listens.
-  const auto must_leave = [&](CoreId core, Core& c, const exec::TransOp& op,
-                              const ThreadContext& t) {
-    if constexpr (kSink) {
-      return MustLeave<true>(op, t, c.debug_regs);
-    }
-    if (hooks_ == nullptr || !c.debug_regs.any_armed()) {
-      return false;
-    }
-    BlockVerdict& v = block_verdicts_[core];
-    const std::uint64_t gen = c.debug_regs.generation();
-    if (v.block != op.block || v.generation != gen || v.epoch != block_epoch_) {
-      v.block = op.block;
-      v.generation = gen;
-      v.epoch = block_epoch_;
-      v.check_free = trans.BlockCheckFree(op.block, c.debug_regs);
-    }
-    return !v.check_free && MustLeave<false>(op, t, c.debug_regs);
-  };
-
-  // Two-core lockstep eligibility. Within one RunTranslated call nothing can
-  // enter the kernel (syscalls, traps, idle steps and timer expiries all
-  // bail first), so the debug registers, the thread<->core assignment and
-  // the timed-wait set are run-constants. With the one-cycle instruction
-  // cost, two busy cores at equal clocks provably alternate c0,c1,c0,c1
-  // (the min-clock pick with ties to the lowest id), which lets the chunk
-  // below execute op *pairs* under a precomputed budget instead of paying
-  // the scheduler checks per op.
-  const bool lockstep = cores_.size() == 2 && ucost == 1;
-
-  std::uint64_t steps = 0;
-
   // Run has already committed to one instruction of `entry_core`'s thread:
   // the pick, the timer wake and the cycle-cap check all happened *before*
   // its Reschedule charged any context-switch cost, and ExecuteOne would
   // run without re-deriving anything — even if that charge pushed this
   // core's clock past another's. Execute exactly that one op here (or hand
-  // the whole call back for the generic path), then invalidate the cached
-  // pick: it may be arbitrarily stale relative to the post-charge clocks,
-  // and the loop below depends on the pick being the true (clock, id)
-  // minimum.
+  // the whole call back for the generic path); the rounds below re-derive
+  // the (clock, id) order from scratch.
   {
     Core& c = cores_[entry_core];
     if (c.current == kInvalidThread) {
@@ -340,276 +308,249 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
       return 0;  // thread-exit PC or invalid PC: generic handling
     }
     const exec::TransOp& op = ops[cur];
-    if (op.kind == exec::FusedKind::kBarrier || must_leave(entry_core, c, op, t)) {
+    if (op.kind == exec::FusedKind::kBarrier) {
       return 0;
+    }
+    // The per-op exit test (see the rounds below), with the check-free
+    // verdict memoized per core on (block, register generation,
+    // invalidation epoch) across calls.
+    if constexpr (kSink) {
+      if (MustLeave<true>(op, t, c.debug_regs)) {
+        return 0;
+      }
+    } else if (hooks_ != nullptr && c.debug_regs.any_armed()) {
+      BlockVerdict& v = block_verdicts_[entry_core];
+      const std::uint64_t gen = c.debug_regs.generation();
+      if (v.block != op.block || v.generation != gen || v.epoch != block_epoch_) {
+        v.block = op.block;
+        v.generation = gen;
+        v.epoch = block_epoch_;
+        v.check_free = trans.BlockCheckFree(op.block, c.debug_regs);
+      }
+      if (!v.check_free && MustLeave<false>(op, t, c.debug_regs)) {
+        return 0;
+      }
     }
     now_ = c.clock;
     executing_core_ = entry_core;
     block_cursors_[entry_core] = ExecFusedOp(ops, cur, t, memory_, trans);
-    c.clock += ucost;
-    t.cpu_cycles += ucost;
-    c.quantum_left -= std::min(ucost, c.quantum_left);
+    ++c.clock;
+    ++t.cpu_cycles;
+    --c.quantum_left;
     ++t.instructions;
     ++instructions_executed_;
-    ++steps;
-    min_core_valid_ = false;
+    min_core_valid_ = false;  // the cached pick may be stale after the context-switch charge
   }
 
-  while (true) {
-    if (live_count_ == 0) {
-      return steps;
-    }
-    if (lockstep) {
-      Core& c0 = cores_[0];
-      Core& c1 = cores_[1];
-      if (c0.clock == c1.clock && c0.clock < max_cycles &&
-          c0.current != kInvalidThread && c1.current != kInvalidThread &&
-          c0.quantum_left != 0 && c1.quantum_left != 0) {
-        ThreadContext& t0 = *threads_[c0.current];
-        ThreadContext& t1 = *threads_[c1.current];
-        if (t0.state == ThreadState::kRunnable && t1.state == ThreadState::kRunnable) {
-          // Budget: pairs start at clock T and advance both cores by one
-          // cycle, so the pair starting at T may run iff T is short of the
-          // quanta, the cycle cap and the earliest timer deadline — the
-          // general iteration below re-derives the exact bail for whichever
-          // limit ended the chunk.
-          Cycles pairs = std::min(c0.quantum_left, c1.quantum_left);
-          pairs = std::min(pairs, max_cycles - c0.clock);
-          const Cycles deadline = EarliestDeadline();
-          if (deadline != ~Cycles{0}) {
-            pairs = deadline > c0.clock ? std::min(pairs, deadline - c0.clock) : 0;
-          }
-          std::uint32_t cur0 = block_cursors_[0];
-          if (cur0 == kNoOp) {
-            cur0 = trans.OpIndexOfPc(t0.pc);
-          }
-          std::uint32_t cur1 = block_cursors_[1];
-          if (cur1 == kNoOp) {
-            cur1 = trans.OpIndexOfPc(t1.pc);
-          }
-          if (pairs != 0 && cur0 != kNoOp && cur1 != kNoOp) {
-            // An op may have to leave the chunk only when its core has an
-            // armed watchpoint or an access-level sink listens; with
-            // neither, the loop pays one test per op.
-            const bool watch0 = kSink || (hooks_ != nullptr && c0.debug_regs.any_armed());
-            const bool watch1 = kSink || (hooks_ != nullptr && c1.debug_regs.any_armed());
-            // Per-op accounting (clocks, quanta, instruction counts) is
-            // batched to the chunk exit: nothing inside the loop reads it,
-            // and no hook can fire that would observe it mid-chunk. The
-            // check-free verdict is likewise cached per *block run* in
-            // locals — the debug registers cannot change inside the chunk,
-            // so a verdict holds until control moves to another block. A
-            // listening sink needs the per-op test whatever the verdict.
-            std::uint64_t done0 = 0;
-            std::uint64_t done1 = 0;
-            std::uint32_t blk0 = ~std::uint32_t{0};
-            std::uint32_t blk1 = ~std::uint32_t{0};
-            bool free0 = false;
-            bool free1 = false;
-            while (pairs != 0) {
-              const exec::TransOp& o0 = ops[cur0];
-              if (o0.kind == exec::FusedKind::kBarrier) {
-                break;  // clocks stay tied; the general pick lands on c0
-              }
-              if (watch0) {
-                if (o0.block != blk0) {
-                  blk0 = o0.block;
-                  free0 = !kSink && trans.BlockCheckFree(blk0, c0.debug_regs);
-                }
-                if (!free0 && MustLeave<kSink>(o0, t0, c0.debug_regs)) {
-                  break;  // as for a barrier: the general pick lands on c0
-                }
-              }
-              cur0 = ExecFusedOp(ops, cur0, t0, memory_, trans);
-              ++done0;
-              const exec::TransOp& o1 = ops[cur1];
-              if (o1.kind == exec::FusedKind::kBarrier) {
-                break;  // c1 lags by one cycle now; the general pick is c1
-              }
-              if (watch1) {
-                if (o1.block != blk1) {
-                  blk1 = o1.block;
-                  free1 = !kSink && trans.BlockCheckFree(blk1, c1.debug_regs);
-                }
-                if (!free1 && MustLeave<kSink>(o1, t1, c1.debug_regs)) {
-                  break;
-                }
-              }
-              cur1 = ExecFusedOp(ops, cur1, t1, memory_, trans);
-              ++done1;
-              if (cur0 == kNoOp || cur1 == kNoOp) {
-                break;  // dynamic target left translated code: re-derive by PC
-              }
-              --pairs;
-            }
-            if (done0 != 0) {
-              c0.clock += done0;
-              t0.cpu_cycles += done0;
-              c0.quantum_left -= done0;
-              t0.instructions += done0;
-              c1.clock += done1;
-              t1.cpu_cycles += done1;
-              c1.quantum_left -= done1;
-              t1.instructions += done1;
-              steps += done0 + done1;
-              instructions_executed_ += done0 + done1;
-              // The core whose op ran last is the one the hooks last saw.
-              executing_core_ = done1 == done0 ? 1 : 0;
-              block_cursors_[0] = cur0;
-              block_cursors_[1] = cur1;
-              min_core_valid_ = false;  // clocks advanced without per-op fixup
-              continue;  // the general iteration handles whatever ended the chunk
-            }
-          }
+  std::uint64_t steps = 1;
+  while (live_count_ != 0) {
+    // The stop point: the first (clock, id) pick the rounds must leave to
+    // the generic loop. The cycle cap and the earliest timer deadline stop a
+    // whole round (id 0); a core stops at its own turn.
+    const Cycles deadline = EarliestDeadline();
+    Cycles stop_round = std::min(max_cycles, deadline);
+    CoreId stop_core = 0;
+    bool stop_steps_idle = false;  // the stop is an idle step to run here
+    const auto stop_at = [&](Cycles round, CoreId core, bool idle_step) {
+      if (round < stop_round || (round == stop_round && core < stop_core)) {
+        stop_round = round;
+        stop_core = core;
+        stop_steps_idle = idle_step;
+      }
+    };
+
+    // Classify the cores. Busy cores whose thread can run an op become
+    // lanes and stop at their quantum expiry; a busy core that cannot, or
+    // an idle core that must really step, stops at its first turn.
+    lanes_.clear();
+    parked_.clear();
+    Cycles busy_min = ~Cycles{0};  // lowest clock of any core with a thread
+    Cycles first_round = ~Cycles{0};
+    for (CoreId k = 0; k < cores_.size(); ++k) {
+      Core& c = cores_[k];
+      if (c.current == kInvalidThread) {
+        if (!ready_.empty()) {
+          stop_at(c.clock, k, false);  // a real scheduling decision: outer Reschedule
+        } else if (hooks_ != nullptr && !hooks_->IdleSyncIsNoOp(k)) {
+          stop_at(c.clock, k, true);  // a real sync point
+        } else {
+          parked_.push_back(k);
         }
+        continue;
       }
-    }
-    const CoreId core = MinClockCore();
-    Core& c = cores_[core];
-    if (c.clock >= max_cycles) {
-      return steps;
-    }
-    now_ = c.clock;
-    if (EarliestDeadline() <= now_) {
-      return steps;  // a timer expired: the outer loop wakes it
-    }
-    if (c.current == kInvalidThread) {
-      if (!ready_.empty()) {
-        // A real scheduling decision (possibly over stale queue entries):
-        // the outer loop's Reschedule purges and picks exactly as always.
-        return steps;
-      }
-      if (IdleCoreStep(core) == IdleOutcome::kDeadlock) {
-        return steps;  // no state was changed; the outer loop re-derives it
-      }
-      // The idle step may have scheduled a thread or run hooks; the cursor
-      // no longer matches the core's thread.
-      block_cursors_[core] = kNoOp;
-      continue;
-    }
-    ThreadContext& t = *threads_[c.current];
-    if (t.state != ThreadState::kRunnable || c.quantum_left == 0) {
-      return steps;  // preemption or a blocked thread: outer Reschedule
-    }
-    std::uint32_t cur = block_cursors_[core];
-    if (cur == kNoOp) {
-      cur = trans.OpIndexOfPc(t.pc);
+      busy_min = std::min(busy_min, c.clock);
+      ThreadContext& t = *threads_[c.current];
+      std::uint32_t cur = block_cursors_[k];
       if (cur == kNoOp) {
-        return steps;  // thread-exit PC or invalid PC: outer handling
+        cur = trans.OpIndexOfPc(t.pc);
       }
+      if (t.state != ThreadState::kRunnable || c.quantum_left == 0 || cur == kNoOp) {
+        stop_at(c.clock, k, false);  // blocked, preempted or untranslated: outer loop
+        continue;
+      }
+      stop_at(c.clock + c.quantum_left, k, false);
+      first_round = std::min(first_round, c.clock);
+      lanes_.push_back({.next = c.clock,
+                        .limit = 0,
+                        .thread = &t,
+                        .regs = &c.debug_regs,
+                        .cursor = cur,
+                        .block = kNoOp,
+                        .watch = kSink || (hooks_ != nullptr && c.debug_regs.any_armed()),
+                        .check_free = false,
+                        .core = k});
     }
-    const exec::TransOp& op = ops[cur];
-    if (op.kind == exec::FusedKind::kBarrier) {
-      block_cursors_[core] = kNoOp;
-      return steps;
+    if (lanes_.empty()) {
+      return steps;  // nothing to fuse; the generic loop takes the next pick
     }
-    if (must_leave(core, c, op, t)) {
-      block_cursors_[core] = kNoOp;
-      return steps;
+    for (RoundLane& l : lanes_) {
+      l.limit = stop_round + (l.core < stop_core ? 1 : 0);
     }
 
-    // Solo streak: with the discrete-event (clock, id) pick, `core` keeps
-    // being chosen while its clock is below every other core's (at equal
-    // clocks the lower id wins) — common right after another core paid a
-    // kernel-crossing cost. All scheduler checks above were just validated
-    // and cannot change while this core runs user ops, so a whole budget of
-    // ops needs only the per-op barrier/trap/translation tests. With a
-    // non-unit instruction cost the budget degenerates to a single op
-    // (exactly the pre-streak behavior); real cost models use 1.
-    Cycles budget = 1;
-    bool chase = false;
-    if (ucost == 1) {
-      budget = std::min(c.quantum_left, max_cycles - c.clock);
-      const Cycles deadline = EarliestDeadline();
-      if (deadline != ~Cycles{0}) {
-        budget = std::min(budget, deadline - c.clock);  // deadline > now_ held above
-      }
-      for (CoreId j = 0; j < cores_.size(); ++j) {
-        if (j == core) {
-          continue;
+    // The rounds. At cycle `round` every lane whose clock is `round` runs
+    // one op, in id order; a lane that is ahead joins when the rounds reach
+    // its clock. Lane clocks are the `next` fields until the exit below.
+    // Within the rounds nothing can enter the kernel, so the debug
+    // registers, thread assignment, ready queue and timed waits are
+    // constants, and a check-free verdict holds until the lane moves to
+    // another block. A lane leaves at the first op that is a barrier, that
+    // may trap, or (while a sink listens) that touches shared data — that
+    // turn becomes the stop point.
+    const auto run_rounds = [&] {
+      for (Cycles round = first_round;;) {
+        // The lanes at `round` act in every round until one reaches its
+        // limit or another lane joins; until then rounds are full and need
+        // no per-turn clock test.
+        joined_.clear();
+        Cycles end = ~Cycles{0};
+        for (RoundLane& l : lanes_) {
+          if (l.next == round) {
+            joined_.push_back(&l);
+            end = std::min(end, l.limit);
+          } else {
+            end = std::min(end, l.next);
+          }
         }
-        // Idle companion (two-core machines only): with no runnable thread
-        // waiting and an idle kernel entry proven to be a no-op, every pick
-        // of core j is a pure clock jump chasing this core — IdleCoreStep
-        // jumps j to max(clock_j + 1, our clock), capped by the deadline we
-        // already bounded the budget with. Eliding those jumps can't be
-        // observed (no hooks fire, ready_ can't grow while this core runs
-        // user ops), so don't let j's clock cap the streak; the closed-form
-        // final clock is restored below.
-        if (cores_.size() == 2 && cores_[j].current == kInvalidThread && ready_.empty() &&
-            (hooks_ == nullptr || hooks_->IdleSyncIsNoOp(j))) {
-          chase = true;
-          continue;
+        // One turn; false when the op must leave fused code, which makes
+        // this turn the stop point.
+        const auto turn = [&](RoundLane& l) {
+          const exec::TransOp& op = ops[l.cursor];
+          bool leave = op.kind == exec::FusedKind::kBarrier;
+          if (!leave && l.watch) {
+            if (op.block != l.block) {
+              l.block = op.block;
+              l.check_free = !kSink && trans.BlockCheckFree(op.block, *l.regs);
+            }
+            leave = !l.check_free && MustLeave<kSink>(op, *l.thread, *l.regs);
+          }
+          if (leave) {
+            stop_at(round, l.core, false);
+            return false;
+          }
+          l.cursor = ExecFusedOp(ops, l.cursor, *l.thread, memory_, trans);
+          if (l.cursor == kNoOp) {
+            // A dynamic target left translated code: the lane's next turn
+            // re-derives it from the PC in the outer loop.
+            l.limit = round + 1;
+            stop_at(round + 1, l.core, false);
+            end = round + 1;
+          }
+          return true;
+        };
+        RoundLane* const* const first = joined_.data();
+        RoundLane* const* const last = first + joined_.size();
+        if (end <= round) {
+          // The last round: some lane reaches its limit at its turn.
+          for (RoundLane* const* p = first; p != last && round < (*p)->limit; ++p) {
+            if (!turn(**p)) {
+              return;
+            }
+            (*p)->next = round + 1;
+          }
+          return;
         }
-        // Ops run at clocks T, T+1, ...; op k is still the pick while
-        // T+k <= clock_j for higher-id cores (we win ties) and T+k < clock_j
-        // for lower-id ones.
-        budget = std::min(budget, cores_[j].clock - c.clock + (j > core ? 1 : 0));
+        for (; round != end; ++round) {
+          for (RoundLane* const* p = first; p != last; ++p) {
+            if (!turn(**p)) {
+              for (RoundLane* const* q = first; q != last; ++q) {
+                (*q)->next = q < p ? round + 1 : round;
+              }
+              return;
+            }
+          }
+        }
+        for (RoundLane* const* p = first; p != last; ++p) {
+          (*p)->next = round;
+        }
       }
+    };
+    run_rounds();
+
+    // Exit: batch the lanes' accounting (fused ops cannot ChargeExtra, so
+    // each costs exactly one cycle), and track the last core to act before
+    // the stop point — hooks fired from outside any instruction read it as
+    // executing_core().
+    Cycles last_round = 0;
+    CoreId last_core = executing_core_;
+    bool acted = false;
+    const auto saw = [&](Cycles round, CoreId core) {
+      if (!acted || round > last_round || (round == last_round && core > last_core)) {
+        acted = true;
+        last_round = round;
+        last_core = core;
+      }
+    };
+    for (const RoundLane& l : lanes_) {
+      Core& c = cores_[l.core];
+      const Cycles done = l.next - c.clock;
+      block_cursors_[l.core] = l.cursor;
+      if (done == 0) {
+        continue;
+      }
+      c.clock = l.next;
+      c.quantum_left -= done;
+      l.thread->cpu_cycles += done;
+      l.thread->instructions += done;
+      steps += done;
+      instructions_executed_ += done;
+      saw(l.next - 1, l.core);
     }
-    // Hooks fired from *outside* any instruction (WakeExpiredTimers'
-    // OnSuspensionTimeout) read executing_core() as "the core last seen
-    // running"; the kernel syncs register generations against it. Keep it
-    // as current as ExecuteOne would.
-    executing_core_ = core;
-    const bool watch = kSink || (hooks_ != nullptr && c.debug_regs.any_armed());
-    std::uint32_t cu = cur;
-    std::uint64_t done = 0;
-    std::uint32_t blk = ~std::uint32_t{0};
-    bool blk_free = false;
-    while (true) {
-      cu = ExecFusedOp(ops, cu, t, memory_, trans);
-      ++done;
-      if (--budget == 0 || cu == kNoOp) {
-        break;
-      }
-      const exec::TransOp& nxt = ops[cu];
-      if (nxt.kind == exec::FusedKind::kBarrier) {
-        break;
-      }
-      if (watch) {
-        // Same per-op test and per-block-run verdict caching as the
-        // lockstep chunk: the registers are streak-constants.
-        if (nxt.block != blk) {
-          blk = nxt.block;
-          blk_free = !kSink && trans.BlockCheckFree(blk, c.debug_regs);
-        }
-        if (!blk_free && MustLeave<kSink>(nxt, t, c.debug_regs)) {
-          break;
+    // Parked idle cores, in closed form. Each elided IdleCoreStep was a pure
+    // clock jump to the lowest clock of a core with a thread (capped by the
+    // deadline): a core below every busy clock jumps there once; from then
+    // on some busy core always sits at the round or one past it, so the
+    // parked core steps to round + 1 at each of its turns, like a lane. An
+    // idle step moves executing_core() only when hooks are installed.
+    for (const CoreId k : parked_) {
+      Core& c = cores_[k];
+      Cycles from = c.clock;
+      if (from < busy_min && (from < stop_round || (from == stop_round && k < stop_core))) {
+        from = std::min(deadline, busy_min);
+        if (hooks_ != nullptr) {
+          saw(c.clock, k);
         }
       }
+      const Cycles to = std::max(from, stop_round + (k < stop_core ? 1 : 0));
+      if (to > from && hooks_ != nullptr) {
+        saw(to - 1, k);
+      }
+      c.clock = to;
     }
-    // Identical accounting to ExecuteOne with no hooks fired, batched to the
-    // streak exit: fused ops cannot ChargeExtra, so the cost is exactly one
-    // user instruction each, and nothing inside the streak reads the
-    // counters. The budget kept ucost * done within the quantum.
-    c.clock += ucost * done;
-    t.cpu_cycles += ucost * done;
-    c.quantum_left -= std::min(ucost * done, c.quantum_left);
-    t.instructions += done;
-    block_cursors_[core] = cu;
-    steps += done;
-    instructions_executed_ += done;
-    if (chase) {
-      Core& o = cores_[core == 0 ? 1 : 0];
-      if (c.clock > o.clock) {
-        // Replay the companion's elided chase steps in closed form. With the
-        // companion on the higher id, the generic order is "our op at the
-        // tie, then its jump to equal" — its jump is the last elided action,
-        // so it is also the core the hooks last saw. On the lower id its
-        // order is "jump past us, then our op": at this exit state the
-        // generic interleaving has it tied with us, and its one pending jump
-        // is exactly the idle iteration the loop above will now run for real.
-        o.clock = c.clock;
-        if ((core == 0 ? 1u : 0u) > core) {
-          executing_core_ = core == 0 ? 1 : 0;
-        }
-      }
-      min_core_valid_ = false;
-    } else {
-      FixMinCoreAfterAdvance(core);
+    executing_core_ = last_core;
+    min_core_valid_ = false;
+
+    if (!stop_steps_idle) {
+      return steps;  // the generic loop handles whatever ended the rounds
     }
+    // An idle core whose kernel entry is a real sync point: step it as the
+    // generic loop would at this pick, then re-derive the rounds.
+    now_ = cores_[stop_core].clock;
+    if (IdleCoreStep(stop_core) == IdleOutcome::kDeadlock) {
+      return steps;  // no state was changed; the outer loop re-derives it
+    }
+    block_cursors_[stop_core] = kNoOp;
   }
+  return steps;
 }
 
 }  // namespace kivati

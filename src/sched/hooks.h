@@ -64,11 +64,12 @@ class KivatiHooks {
   // True when an *idle-loop* OnKernelEntry on `core` would provably change
   // nothing right now: the core already runs the canonical register image,
   // no thread is blocked waiting on a cross-core sync, and no periodic
-  // kernel work is due. The translated execution engine uses this to fuse
-  // an idle core's clock-chasing steps without eliding a real sync point;
-  // the state it depends on can only change from inside the kernel, which
-  // the engine never enters within one fused run. The conservative answer
-  // is false, which merely disables the fusion.
+  // kernel work is due. The translated execution engine uses this to park
+  // idle cores, replacing their clock-chasing steps with a closed-form
+  // clock jump, without eliding a real sync point; the state it depends on
+  // can only change from inside the kernel, which the engine never enters
+  // within one run of rounds. The conservative answer is false, which
+  // merely steps the core.
   virtual bool IdleSyncIsNoOp(CoreId /*core*/) const { return false; }
 
   // Core `core` switches from `prev` to `next` (either may be kInvalidThread).

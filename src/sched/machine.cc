@@ -225,8 +225,6 @@ Cycles Machine::EarliestDeadlineSlow() const {
   return earliest_deadline_;
 }
 
-bool Machine::AnyDeadline() const { return EarliestDeadline() != ~Cycles{0}; }
-
 CoreId Machine::RescanMinCore() {
   CoreId min = 0;
   for (CoreId i = 1; i < cores_.size(); ++i) {
@@ -342,15 +340,18 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
 RunResult Machine::Run(Cycles max_cycles) {
   RunResult result;
   const bool fast = config_.fast_loop;
-  // Block-translated execution needs the fast loop's caches. Address tracing
-  // is its only whole-run deopt: it inspects every instruction's access
-  // list. A ScheduleController, recording or not, is consulted only in
+  // Block-translated execution needs the fast loop's caches and the unit
+  // instruction cost its rounds assume (no caller sets another; any other
+  // cost runs per instruction). Address tracing is the other whole-run
+  // deopt: it inspects every instruction's access list. A
+  // ScheduleController, recording or not, is consulted only in
   // PopRunnable, at quantum preemptions and at begin_atomic; RunTranslated
   // hands control back before each with instructions_executed_ flushed, so
   // no decision, checkpoint or instruction stamp moves. Access-level sinks
   // cost a per-op bail inside RunTranslated instead (re-read per entry,
   // since they may subscribe mid-run).
-  const bool block_ok = fast && config_.block_translate && config_.trace_addr == kInvalidAddr;
+  const bool block_ok = fast && config_.block_translate && config_.costs.user_instruction == 1 &&
+                        config_.trace_addr == kInvalidAddr;
   while (true) {
     const bool all_done = fast ? live_count_ == 0 : live_threads() == 0;
     if (all_done) {

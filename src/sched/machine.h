@@ -221,7 +221,6 @@ class Machine {
     return EarliestDeadlineSlow();
   }
   Cycles EarliestDeadlineSlow() const;
-  bool AnyDeadline() const;
 
   // --- Timed-wait bookkeeping (fast loop, docs/performance.md) -------------
   // `timed_waiters_` counts threads in a timed wait (sleeping, or suspended
@@ -238,10 +237,13 @@ class Machine {
   void LeaveTimedWait(Cycles wake_at);
 
   // The core with the smallest clock (ties by lowest id), tracked
-  // incrementally: only the picked core's clock advances within a loop
-  // iteration, so FixMinCoreAfterAdvance repairs the cached pick against the
-  // cached runner-up instead of rescanning every core. Both run once per
-  // loop iteration — the cached-hit paths are inline.
+  // incrementally for the per-instruction loop: only the picked core's
+  // clock advances within a loop iteration, so FixMinCoreAfterAdvance
+  // repairs the cached pick against the cached runner-up. That repair is
+  // exact with two cores; above two the runner-up is unknown and the next
+  // pick rescans. The block engine's rounds never consult the pick — they
+  // order cores by (clock, id) themselves and drop the cache on exit, so
+  // fused execution pays one rescan per RunTranslated call, not per op.
   CoreId MinClockCore() {
     if (min_core_valid_) {
       return min_core_;
@@ -281,22 +283,26 @@ class Machine {
   // Executes one instruction of core's current thread; advances the clock.
   void ExecuteOne(CoreId core);
 
-  // The block-translation engine's fused loop (exec/block_exec.cc): runs
-  // predecoded ops across all cores in the exact discrete-event
-  // interleaving of Run, hoisting the per-instruction dispatch and
-  // watchpoint filtering, and returns to Run at the first op it cannot
-  // fuse (barriers, traps that may fire, shared-data accesses while an
-  // access-level sink listens, scheduling decisions).
+  // The block-translation engine's round executor (exec/block_exec.cc).
+  // Run calls it only at unit instruction cost, where Run's (clock, id)
+  // pick between kernel entries is exactly "at cycle R, every core whose
+  // clock is R acts in id order". It runs predecoded ops of all busy cores
+  // round by round, parks idle cores whose idle-loop sync is a proven no-op
+  // (their clocks are set in closed form on exit), and returns to Run at
+  // the first pick it cannot fuse: a barrier, a trap that may fire, a
+  // shared-data access while an access-level sink listens, an untranslated
+  // target, a quantum expiry, a blocked thread, a scheduling decision, the
+  // cycle cap or a timer deadline.
   // `entry_core` is the core Run picked *this iteration*: Run commits to
   // executing one instruction of that core's thread before re-deriving
   // anything — even when the Reschedule it just ran charged context-switch
-  // cost that pushed the core's clock past another's — so the fused loop
-  // must execute that one op first (or return 0 for ExecuteOne to do it)
-  // before handing control to its own min-clock pick. Returns the number of
-  // instructions executed; 0 means no progress was possible and the caller
-  // must take the generic path.
+  // cost that pushed the core's clock past another's — so the executor
+  // runs that one op first (or returns 0 for ExecuteOne to do it) before
+  // deriving its own rounds. Returns the number of instructions executed;
+  // 0 means no progress was possible and the caller must take the generic
+  // path.
   std::uint64_t RunTranslated(Cycles max_cycles, CoreId entry_core);
-  // RunTranslated's loop, instantiated for whether an access-level sink
+  // RunTranslated's body, instantiated for whether an access-level sink
   // listens (exec/block_exec.cc).
   template <bool kSink>
   std::uint64_t RunFused(Cycles max_cycles, CoreId entry_core);
@@ -379,6 +385,25 @@ class Machine {
   // RunTranslated call (kNoOp = re-derive from the thread's PC).
   std::vector<std::uint32_t> block_cursors_;
   std::uint64_t block_epoch_ = 0;  // bumped by InvalidateBlockChecks
+  // One busy core in the round executor: it runs an op at each round from
+  // `next` (its clock) up to, not including, `limit`.
+  struct RoundLane {
+    Cycles next = 0;
+    Cycles limit = 0;
+    ThreadContext* thread = nullptr;
+    const DebugRegisterFile* regs = nullptr;
+    std::uint32_t cursor = exec::BlockTranslation::kNoOp;
+    std::uint32_t block = exec::BlockTranslation::kNoOp;  // block of `check_free`
+    bool watch = false;  // an op may need the per-op exit test
+    bool check_free = false;
+    CoreId core = 0;
+  };
+  // Scratch for the round executor, reused across calls: the busy cores in
+  // id order, those of them at the current round, and the parked idle
+  // cores.
+  std::vector<RoundLane> lanes_;
+  std::vector<RoundLane*> joined_;
+  std::vector<CoreId> parked_;
 };
 
 }  // namespace kivati

@@ -518,6 +518,20 @@ TEST_F(CliTest, JsonModesEmitExactlyOneEnvelopeDocument) {
   }
 }
 
+TEST_F(CliTest, BenchInterpTakesACoreList) {
+  const CommandResult result =
+      RunCliStdout("bench-interp --apps nss --configs vanilla --cores 1,3 --block-only "
+                   "--repeats 1 --max-cycles 200000 --json -");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("/c1w4/"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("/c3w4/"), std::string::npos) << result.output;
+  for (const std::string args : {"--cores 0", "--cores 2,x"}) {
+    const CommandResult bad = RunCli("bench-interp --apps nss " + args);
+    EXPECT_NE(bad.exit_code, 0) << args << ": " << bad.output;
+    EXPECT_NE(bad.output.find("--cores"), std::string::npos) << args;
+  }
+}
+
 // Satellite back-compat audit: with the default event selection (the
 // transition kinds), the JSONL and Chrome trace exports are byte-identical
 // to the goldens recorded before the TraceSink refactor — attaching the hub

@@ -1,15 +1,19 @@
-// Block-engine transparency under schedule controllers and access-level
-// sinks, which run fused (docs/performance.md, "Deopt triggers"): strict
-// replay, loose (shrunk) replay, guided PCT and bounded-preemption fuzzing,
-// and the happens-before oracle. Each case runs once with block translation
-// on and once off, over two corpus bugs at 1, 2 and 4 cores plus one
-// trap-before case, and must produce byte-identical RunRecord JSON (modulo
-// wall clock), the same ScheduleTrace and the same access-event stream. The
-// block side must actually have run fused.
+// Block-engine transparency across the configuration space the round
+// executor (exec/block_exec.cc) has special code for: core counts 1-8,
+// idle cores parked with and without hooks, quantum expiries inside a
+// round, the non-unit cost fallback and trap-before delivery; and under
+// schedule controllers and access-level sinks, which run fused
+// (docs/performance.md, "Deopt triggers"): strict replay, loose (shrunk)
+// replay, guided PCT and bounded-preemption fuzzing, and the
+// happens-before oracle. Each case runs once with block translation on and
+// once off and must produce byte-identical RunRecord JSON (modulo wall
+// clock), the same ScheduleTrace and the same access-event stream. At unit
+// instruction cost the block side must actually have run fused.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,10 +27,11 @@
 namespace kivati {
 namespace {
 
-enum class Mode { kStrictReplay, kLooseReplay, kGuidedPct, kGuidedPreempt, kHbDetector };
+enum class Mode { kPlain, kStrictReplay, kLooseReplay, kGuidedPct, kGuidedPreempt, kHbDetector };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
+    case Mode::kPlain: return "plain";
     case Mode::kStrictReplay: return "strict_replay";
     case Mode::kLooseReplay: return "loose_replay";
     case Mode::kGuidedPct: return "guided_pct";
@@ -37,27 +42,73 @@ const char* ModeName(Mode mode) {
 }
 
 struct Case {
-  std::string bug;
+  std::string workload;  // a corpus bug ("APP-ID") or a registered app
   unsigned cores;
   Mode mode;
   TrapDelivery trap = TrapDelivery::kAfter;
+  KivatiMode kivati = KivatiMode::kBugFinding;  // apps always run in prevention
+  bool vanilla = false;
+  Cycles quantum = MachineConfig{}.quantum;
+  Cycles user_instruction = CostModel{}.user_instruction;
 };
 
+bool IsApp(const Case& c) { return c.workload.find('-') == std::string::npos; }
+
+// "MySQL-38883 c4 guided_pct", plus whatever departs from the defaults.
 void PrintTo(const Case& c, std::ostream* os) {
-  *os << c.bug << " c" << c.cores << " " << ModeName(c.mode)
-      << (c.trap == TrapDelivery::kBefore ? " trap-before" : "");
+  *os << c.workload << " c" << c.cores << " " << ModeName(c.mode);
+  if (IsApp(c)) {
+    *os << (c.vanilla ? " vanilla" : " optimized");
+  } else if (c.kivati == KivatiMode::kPrevention) {
+    *os << " prevention";
+  }
+  if (c.trap == TrapDelivery::kBefore) {
+    *os << " trap-before";
+  }
+  if (c.quantum != MachineConfig{}.quantum) {
+    *os << " q" << c.quantum;
+  }
+  if (c.user_instruction != CostModel{}.user_instruction) {
+    *os << " ucost" << c.user_instruction;
+  }
+}
+
+// The test-name form of PrintTo: "MySQL_38883_c4_guided_pct".
+std::string CaseName(const Case& c) {
+  std::ostringstream os;
+  PrintTo(c, &os);
+  std::string name = os.str();
+  for (char& ch : name) {
+    if (ch == '-' || ch == ' ') {
+      ch = '_';
+    }
+  }
+  return name;
 }
 
 exp::RunSpec BaseSpec(const Case& c) {
   exp::RunSpec spec;
-  spec.bug = c.bug;
-  spec.mode = KivatiMode::kBugFinding;
-  spec.pause_ms = 50.0;
+  if (IsApp(c)) {
+    // Four workers, so eight cores leave idle ones: parked without hooks
+    // (vanilla) and behind IdleSyncIsNoOp (optimized).
+    spec.app = c.workload;
+    spec.scale.workers = 4;
+    spec.scale.iterations = 20;
+    spec.vanilla = c.vanilla;
+    spec.mode = KivatiMode::kPrevention;
+  } else {
+    spec.bug = c.workload;
+    spec.mode = c.kivati;
+    spec.pause_ms = 50.0;
+    // Every bug-finding case still violates and makes multi-way decisions
+    // at this budget.
+    spec.budget = 3'000'000;
+  }
   spec.machine.seed = 17;
   spec.machine.num_cores = c.cores;
   spec.machine.trap_delivery = c.trap;
-  // Every case still violates and makes multi-way decisions at this budget.
-  spec.budget = 3'000'000;
+  spec.machine.quantum = c.quantum;
+  spec.machine.costs.user_instruction = c.user_instruction;
   return spec;
 }
 
@@ -112,6 +163,8 @@ TEST_P(FusedModesTest, BlockMatchesPerInstruction) {
   const Case& c = GetParam();
   exp::RunSpec spec = BaseSpec(c);
   switch (c.mode) {
+    case Mode::kPlain:
+      break;
     case Mode::kStrictReplay:
     case Mode::kLooseReplay: {
       exp::RunSpec record = spec;
@@ -161,8 +214,54 @@ TEST_P(FusedModesTest, BlockMatchesPerInstruction) {
   if (c.mode == Mode::kHbDetector) {
     EXPECT_FALSE(block.events.empty()) << "the oracle saw no shared access";
   }
-  EXPECT_GT(block.fused, 0u) << "the block engine never engaged";
+  if (c.user_instruction == 1) {
+    EXPECT_GT(block.fused, 0u) << "the block engine never engaged";
+  } else {
+    EXPECT_EQ(block.fused, 0u) << "the rounds assume unit instruction cost";
+  }
   EXPECT_EQ(ref.fused, 0u);
+}
+
+// The rounds must leave exactly the state the per-instruction loop has at
+// the same pick, including the parked cores' closed-form clocks and the
+// last core the hooks saw (executing_core(), which timeout handlers read
+// outside any instruction). Stopping both engines at every multiple of an
+// odd cycle step compares that state at hundreds of cycle-cap stops, where
+// with four workers on eight cores the last core to act is a parked one.
+TEST(FusedStopStateTest, CycleCapStopsMatchPerInstruction) {
+  constexpr Cycles kStep = 997;
+  for (const char* app : {"nss", "vlc"}) {
+    for (const unsigned cores : {3u, 8u}) {
+      for (const bool vanilla : {true, false}) {
+        const Case c{.workload = app, .cores = cores, .mode = Mode::kPlain, .vanilla = vanilla};
+        exp::RunSpec spec = BaseSpec(c);
+        spec.machine.block_translate = true;
+        exp::BuiltRun block = exp::BuildEngine(spec);
+        spec.machine.block_translate = false;
+        exp::BuiltRun ref = exp::BuildEngine(spec);
+        Machine& mb = block.engine->machine();
+        Machine& mr = ref.engine->machine();
+        for (Cycles cap = kStep;; cap += kStep) {
+          const RunResult a = block.engine->Run(cap);
+          const RunResult b = ref.engine->Run(cap);
+          const std::string where = CaseName(c) + " at cap " + std::to_string(cap);
+          ASSERT_EQ(a.cycles, b.cycles) << where;
+          ASSERT_EQ(a.instructions, b.instructions) << where;
+          ASSERT_EQ(a.all_done, b.all_done) << where;
+          ASSERT_EQ(mb.executing_core(), mr.executing_core()) << where;
+          ASSERT_EQ(mb.num_threads(), mr.num_threads()) << where;
+          for (ThreadId tid = 0; tid < mb.num_threads(); ++tid) {
+            ASSERT_EQ(mb.thread(tid).pc, mr.thread(tid).pc) << where << " t" << tid;
+            ASSERT_EQ(mb.thread(tid).cpu_cycles, mr.thread(tid).cpu_cycles) << where << " t" << tid;
+          }
+          if (a.all_done || a.deadlocked) {
+            break;
+          }
+        }
+        EXPECT_GT(mb.fused_instructions(), 0u) << CaseName(c);
+      }
+    }
+  }
 }
 
 std::vector<Case> AllCases() {
@@ -174,28 +273,38 @@ std::vector<Case> AllCases() {
         cases.push_back({bug, cores, mode});
       }
     }
+    // No controller, in both usage modes, at every core count the round
+    // executor treats alike.
+    for (const unsigned cores : {1u, 2u, 3u, 4u, 8u}) {
+      for (const KivatiMode kivati : {KivatiMode::kBugFinding, KivatiMode::kPrevention}) {
+        cases.push_back({.workload = bug, .cores = cores, .mode = Mode::kPlain, .kivati = kivati});
+      }
+    }
+  }
+  for (const char* app : {"nss", "vlc"}) {
+    for (const unsigned cores : {1u, 2u, 3u, 4u, 8u}) {
+      for (const bool vanilla : {true, false}) {
+        cases.push_back({.workload = app, .cores = cores, .mode = Mode::kPlain,
+                         .vanilla = vanilla});
+      }
+    }
   }
   // Trap-before hardware cancels the trapping access instead of undoing it;
   // the oracle must still see exactly the committed accesses.
   cases.push_back({"NSS-329072", 2, Mode::kHbDetector, TrapDelivery::kBefore});
+  cases.push_back({"NSS-329072", 8, Mode::kPlain, TrapDelivery::kBefore});
+  // A quantum that is not a multiple of anything: expiries land mid-round.
+  cases.push_back({.workload = "nss", .cores = 4, .mode = Mode::kPlain, .quantum = 97});
+  // Any other instruction cost runs per instruction (the rounds return 0).
+  cases.push_back({.workload = "NSS-329072", .cores = 4, .mode = Mode::kPlain,
+                   .user_instruction = 2});
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CorpusModes, FusedModesTest, ::testing::ValuesIn(AllCases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      std::string name = info.param.bug + "_c" + std::to_string(info.param.cores) + "_" +
-                         ModeName(info.param.mode);
-      if (info.param.trap == TrapDelivery::kBefore) {
-        name += "_trap_before";
-      }
-      for (char& ch : name) {
-        if (ch == '-') {
-          ch = '_';
-        }
-      }
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(CorpusModes, FusedModesTest, ::testing::ValuesIn(AllCases()),
+                         [](const ::testing::TestParamInfo<Case>& info) {
+                           return CaseName(info.param);
+                         });
 
 }  // namespace
 }  // namespace kivati

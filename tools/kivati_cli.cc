@@ -159,7 +159,9 @@
 //   --block-only / --fast-only / --reference-only
 //                                   measure just one engine (default: all
 //                                   three — block, fast, reference)
-//   --seed/--cores/--watchpoints/--max-cycles/--app-workers/
+//   --cores N[,N...]                simulated core counts, one row per
+//                                   count as with sweep (default 2)
+//   --seed/--watchpoints/--max-cycles/--app-workers/
 //   --app-iterations                as for run/sweep
 //   --json FILE                     machine-readable report ('-' = stdout)
 //
@@ -552,6 +554,26 @@ exp::OptionTable AnalyzeTable(CliOptions& options) {
   return table;
 }
 
+// Parses a comma-separated integer list ('..' expands ranges) whose every
+// value lies in [min, max]; returns the error message or "".
+std::string UnsignedList(const std::string& name, const std::string& value, unsigned min,
+                         unsigned max, std::vector<unsigned>* out) {
+  std::vector<std::uint64_t> parsed;
+  if (!exp::ParseU64List(value, &parsed)) {
+    return name + ": '" + value + "' is not an integer list";
+  }
+  std::vector<unsigned> values;
+  for (const std::uint64_t v : parsed) {
+    if (v < min || v > max) {
+      return name + ": " + std::to_string(v) + " is out of range [" + std::to_string(min) +
+             ", " + std::to_string(max) + "]";
+    }
+    values.push_back(static_cast<unsigned>(v));
+  }
+  *out = std::move(values);
+  return std::string();
+}
+
 exp::OptionTable SweepTable(CliOptions& options) {
   exp::OptionTable table;
   AddConfigOptions(table, options);
@@ -615,29 +637,12 @@ exp::OptionTable SweepTable(CliOptions& options) {
                ? std::string()
                : "--seeds: '" + value + "' is not a seed list";
   });
-  auto unsigned_list = [](const std::string& name, const std::string& value, unsigned min,
-                          unsigned max, std::vector<unsigned>* out) {
-    std::vector<std::uint64_t> parsed;
-    if (!exp::ParseU64List(value, &parsed)) {
-      return name + ": '" + value + "' is not an integer list";
-    }
-    std::vector<unsigned> values;
-    for (const std::uint64_t v : parsed) {
-      if (v < min || v > max) {
-        return name + ": " + std::to_string(v) + " is out of range [" + std::to_string(min) +
-               ", " + std::to_string(max) + "]";
-      }
-      values.push_back(static_cast<unsigned>(v));
-    }
-    *out = std::move(values);
-    return std::string();
-  };
-  table.Value("--cores", "core counts to sweep", [&options, unsigned_list](const std::string& value) {
-    return unsigned_list("--cores", value, 1, 256, &options.cores_list);
+  table.Value("--cores", "core counts to sweep", [&options](const std::string& value) {
+    return UnsignedList("--cores", value, 1, 256, &options.cores_list);
   });
   table.Value("--watchpoints", "watchpoint counts to sweep",
-              [&options, unsigned_list](const std::string& value) {
-                return unsigned_list("--watchpoints", value, 1, kMaxWatchpointCount,
+              [&options](const std::string& value) {
+                return UnsignedList("--watchpoints", value, 1, kMaxWatchpointCount,
                                      &options.watchpoints_list);
               });
   table.Flag("--with-vanilla", &options.with_vanilla, "add unprotected baselines");
@@ -696,7 +701,9 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
   });
   table.Unsigned("--repeats", &options.repeats, "wall-time repeats per cell", 1, 1000);
   table.U64("--seed", &options.seed, "scheduler seed");
-  table.Unsigned("--cores", &options.cores, "simulated cores", 1, 256);
+  table.Value("--cores", "core counts to bench", [&options](const std::string& value) {
+    return UnsignedList("--cores", value, 1, 256, &options.cores_list);
+  });
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.Value("--max-cycles", "virtual cycle budget", [&options](const std::string& value) {
@@ -1289,7 +1296,6 @@ int BenchInterp(const CliOptions& options) {
                      : options.bench_configs;
   spec.repeats = options.repeats;
   spec.seed = options.seed;
-  spec.cores = options.cores;
   spec.watchpoints = options.watchpoints;
   spec.max_cycles = options.max_cycles;
   spec.scale.workers = options.app_workers;
@@ -1303,12 +1309,20 @@ int BenchInterp(const CliOptions& options) {
 
   // Progress (and the human table) on stderr when stdout carries the JSON.
   FILE* human = options.json_path == "-" ? stderr : stdout;
-  const auto entries = exp::RunInterpBench(spec, [human](const exp::InterpBenchEntry& e) {
+  const auto progress = [human](const exp::InterpBenchEntry& e) {
     std::fprintf(human, "%-44s %-9s %12llu cycles %9.1f ms %9.2f Mcyc/s %9.2f MIPS\n",
                  e.label.c_str(), e.engine.c_str(),
                  static_cast<unsigned long long>(e.cycles), e.median_wall_ms,
                  e.mcycles_per_sec, e.mips);
-  });
+  };
+  // One grid per core count; the labels carry cN.
+  std::vector<exp::InterpBenchEntry> entries;
+  for (const unsigned cores :
+       options.cores_list.empty() ? std::vector<unsigned>{2} : options.cores_list) {
+    spec.cores = cores;
+    const auto part = exp::RunInterpBench(spec, progress);
+    entries.insert(entries.end(), part.begin(), part.end());
+  }
   if (!options.json_path.empty()) {
     WriteJsonOutput(options.json_path, exp::InterpBenchJson(entries));
     if (options.json_path != "-") {

@@ -10,7 +10,10 @@
 # committed number; absolute throughput varies across runners, hence the
 # wide margin. Block-engine rows are gated like the rest, so a regression
 # in basic-block translation (or a silent deopt to the fast loop) surfaces
-# in CI even while the fast/reference rows stay green.
+# in CI even while the fast/reference rows stay green. The 4- and 8-core
+# rows run the block engine only (the per-instruction engines would take
+# most of the job's time there): a fall-back to per-op scheduling above two
+# cores fails their gate.
 #
 #   sh tools/perf_smoke.sh check    # compare against BENCH_interp.json
 #   sh tools/perf_smoke.sh update   # regenerate the baseline (Release build)
@@ -22,18 +25,40 @@ KIVATI="${KIVATI:-./build/tools/kivati}"
 BASELINE="BENCH_interp.json"
 THRESHOLD="${THRESHOLD:-0.7}"
 GRID="--apps nss,vlc --configs vanilla,base,optimized --repeats 3"
+WIDE="--apps nss,vlc --configs vanilla,optimized --cores 4,8 --block-only --repeats 3"
+
+# Runs both grids and writes one report to $1.
+bench() {
+  parts=$(mktemp -d)
+  # All three engines at two cores: the bench cross-checks their simulated
+  # outcomes for byte-identity, so this run doubles as an
+  # engine-equivalence smoke.
+  # shellcheck disable=SC2086  # GRID and WIDE are flag lists on purpose
+  "$KIVATI" bench-interp $GRID --json "$parts/c2.json"
+  # shellcheck disable=SC2086
+  "$KIVATI" bench-interp $WIDE --json "$parts/wide.json"
+  python3 - "$parts/c2.json" "$parts/wide.json" "$1" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+with open(sys.argv[2]) as f:
+    report["entries"] += json.load(f)["entries"]
+with open(sys.argv[3], "w") as f:
+    json.dump(report, f, separators=(",", ":"))
+    f.write("\n")
+EOF
+  rm -r "$parts"
+}
 
 case "${1:-check}" in
   update)
-    # shellcheck disable=SC2086  # GRID is a flag list on purpose
-    "$KIVATI" bench-interp $GRID --json "$BASELINE"
+    bench "$BASELINE"
     echo "wrote $BASELINE"
     ;;
   check)
-    # All three engines: the bench cross-checks their simulated outcomes for
-    # byte-identity, so this run doubles as an engine-equivalence smoke.
-    # shellcheck disable=SC2086
-    "$KIVATI" bench-interp $GRID --json perf_current.json
+    bench perf_current.json
     python3 - "$BASELINE" perf_current.json "$THRESHOLD" <<'EOF'
 import json
 import sys
