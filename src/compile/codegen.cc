@@ -196,10 +196,9 @@ class FunctionCodegen {
           continue;
       }
       // kABegin carries the joint mask to the kernel, which installs it at
-      // region entry and fires Machine::InvalidateBlockChecks so the block
-      // engine's hoisted check-free verdicts never outlive a mask change.
-      // Annotations are also translation barriers (exec/block_translate.h):
-      // every AR boundary hands control back to the generic loop.
+      // region entry. Annotations are translation barriers
+      // (exec/block_translate.h): every AR boundary hands control back to
+      // the generic loop.
       b_.BeginAtomic(ar->id, address, 8, ar->watch, ar->first_type, ar->joint_types);
     }
   }

@@ -87,10 +87,13 @@ bool MustLeave(const exec::TransOp& op, const ThreadContext& t, const DebugRegis
 // Executes one fused op (anything but kBarrier) and returns the cursor of
 // the next op — kNoOp when a dynamic target (indirect call, return) has no
 // translation, in which case the caller re-derives state from the PC. Shared
-// by the entry op and the rounds so the semantics exist exactly once.
-inline std::uint32_t ExecFusedOp(const exec::TransOp* ops, std::uint32_t cur,
-                                 ThreadContext& t, AddressSpace& memory,
-                                 const exec::BlockTranslation& trans) {
+// by the entry op and the rounds so the semantics exist exactly once. Forced
+// inline: the rounds' speed depends on this switch sitting in their body,
+// and GCC's size heuristics otherwise emit it as a call.
+[[gnu::always_inline]] inline std::uint32_t ExecFusedOp(const exec::TransOp* ops,
+                                                        std::uint32_t cur, ThreadContext& t,
+                                                        AddressSpace& memory,
+                                                        const exec::BlockTranslation& trans) {
   const exec::TransOp& op = ops[cur];
   std::uint32_t next = cur + 1;
   switch (op.kind) {
@@ -280,12 +283,7 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
   const exec::BlockTranslation& trans = image_->blocks;
   const exec::TransOp* const ops = trans.ops();
   constexpr std::uint32_t kNoOp = exec::BlockTranslation::kNoOp;
-  if (block_cursors_.size() != cores_.size()) {
-    block_cursors_.assign(cores_.size(), kNoOp);
-    block_verdicts_.assign(cores_.size(), BlockVerdict{});
-  } else {
-    std::fill(block_cursors_.begin(), block_cursors_.end(), kNoOp);
-  }
+  block_cursors_.assign(cores_.size(), kNoOp);
 
   // Run has already committed to one instruction of `entry_core`'s thread:
   // the pick, the timer wake and the cycle-cap check all happened *before*
@@ -311,25 +309,10 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     if (op.kind == exec::FusedKind::kBarrier) {
       return 0;
     }
-    // The per-op exit test (see the rounds below), with the check-free
-    // verdict memoized per core on (block, register generation,
-    // invalidation epoch) across calls.
-    if constexpr (kSink) {
-      if (MustLeave<true>(op, t, c.debug_regs)) {
-        return 0;
-      }
-    } else if (hooks_ != nullptr && c.debug_regs.any_armed()) {
-      BlockVerdict& v = block_verdicts_[entry_core];
-      const std::uint64_t gen = c.debug_regs.generation();
-      if (v.block != op.block || v.generation != gen || v.epoch != block_epoch_) {
-        v.block = op.block;
-        v.generation = gen;
-        v.epoch = block_epoch_;
-        v.check_free = trans.BlockCheckFree(op.block, c.debug_regs);
-      }
-      if (!v.check_free && MustLeave<false>(op, t, c.debug_regs)) {
-        return 0;
-      }
+    // The per-op exit test of the rounds below.
+    if ((kSink || (hooks_ != nullptr && c.debug_regs.any_armed())) &&
+        MustLeave<kSink>(op, t, c.debug_regs)) {
+      return 0;
     }
     now_ = c.clock;
     executing_core_ = entry_core;
@@ -395,9 +378,7 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
                         .thread = &t,
                         .regs = &c.debug_regs,
                         .cursor = cur,
-                        .block = kNoOp,
                         .watch = kSink || (hooks_ != nullptr && c.debug_regs.any_armed()),
-                        .check_free = false,
                         .core = k});
     }
     if (lanes_.empty()) {
@@ -412,10 +393,9 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     // its clock. Lane clocks are the `next` fields until the exit below.
     // Within the rounds nothing can enter the kernel, so the debug
     // registers, thread assignment, ready queue and timed waits are
-    // constants, and a check-free verdict holds until the lane moves to
-    // another block. A lane leaves at the first op that is a barrier, that
-    // may trap, or (while a sink listens) that touches shared data — that
-    // turn becomes the stop point.
+    // constants. A lane leaves at the first op that is a barrier, that may
+    // trap, or (while a sink listens) that touches shared data — that turn
+    // becomes the stop point.
     const auto run_rounds = [&] {
       for (Cycles round = first_round;;) {
         // The lanes at `round` act in every round until one reaches its
@@ -432,18 +412,11 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
           }
         }
         // One turn; false when the op must leave fused code, which makes
-        // this turn the stop point.
-        const auto turn = [&](RoundLane& l) {
+        // this turn the stop point. Forced inline, like ExecFusedOp.
+        const auto turn = [&](RoundLane& l) __attribute__((always_inline)) {
           const exec::TransOp& op = ops[l.cursor];
-          bool leave = op.kind == exec::FusedKind::kBarrier;
-          if (!leave && l.watch) {
-            if (op.block != l.block) {
-              l.block = op.block;
-              l.check_free = !kSink && trans.BlockCheckFree(op.block, *l.regs);
-            }
-            leave = !l.check_free && MustLeave<kSink>(op, *l.thread, *l.regs);
-          }
-          if (leave) {
+          if (op.kind == exec::FusedKind::kBarrier ||
+              (l.watch && MustLeave<kSink>(op, *l.thread, *l.regs))) {
             stop_at(round, l.core, false);
             return false;
           }

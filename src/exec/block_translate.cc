@@ -1,7 +1,5 @@
 #include "exec/block_translate.h"
 
-#include <algorithm>
-
 namespace kivati {
 namespace exec {
 namespace {
@@ -68,49 +66,6 @@ bool IsControlTransfer(FusedKind kind) {
 bool HasStaticTarget(FusedKind kind) {
   return kind == FusedKind::kJmp || kind == FusedKind::kBnz || kind == FusedKind::kBz ||
          kind == FusedKind::kCall;
-}
-
-// One memory access an op can perform, as known at translation time:
-// static (base == kNoReg, address = offset) or dynamic otherwise.
-struct AccessShape {
-  RegId base = kNoReg;
-  std::int64_t offset = 0;
-  std::uint32_t size = 0;
-};
-
-// Appends the access shapes of `op` to `out` (mirrors
-// Machine::CollectAccesses; stack traffic uses base = kRegSp). Returns
-// false for kinds whose accesses cannot be enumerated here (barriers).
-bool AccessShapes(const TransOp& op, std::vector<AccessShape>& out) {
-  switch (op.kind) {
-    case FusedKind::kLoad:
-    case FusedKind::kStore:
-    case FusedKind::kXchg:
-      out.push_back({op.base, op.a, op.size});
-      return true;
-    case FusedKind::kMovM:
-      out.push_back({op.base2, op.b, op.size});
-      out.push_back({op.base, op.a, op.size});
-      return true;
-    case FusedKind::kPushM:
-      out.push_back({op.base, op.a, op.size});
-      out.push_back({kRegSp, 0, 8});
-      return true;
-    case FusedKind::kCallInd:
-      out.push_back({op.base, op.a, 8});
-      out.push_back({kRegSp, 0, 8});
-      return true;
-    case FusedKind::kPush:
-    case FusedKind::kCall:
-    case FusedKind::kPop:
-    case FusedKind::kRet:
-      out.push_back({kRegSp, 0, 8});
-      return true;
-    case FusedKind::kBarrier:
-      return false;
-    default:
-      return true;  // no memory access
-  }
 }
 
 }  // namespace
@@ -185,73 +140,18 @@ BlockTranslation::BlockTranslation(const Program& program) {
     }
   }
 
-  // Form blocks and derive each block's static footprint.
-  std::vector<AccessShape> shapes;
+  // Form blocks.
   for (std::size_t i = 0; i < n;) {
     std::size_t end = i + 1;
     while (end < n && !leader[end]) {
       ++end;
     }
-    TransBlock block;
-    block.first_op = static_cast<std::uint32_t>(i);
-    block.end_op = static_cast<std::uint32_t>(end);
-    block.fp_first = static_cast<std::uint32_t>(footprint_.size());
-    block.all_static = true;
-    block.hull_lo = ~Addr{0};
-    block.hull_hi = 0;
     for (std::size_t j = i; j < end; ++j) {
       ops_[j].block = static_cast<std::uint32_t>(blocks_.size());
-      shapes.clear();
-      if (!AccessShapes(ops_[j], shapes)) {
-        // Barrier: accesses unknown at translation time.
-        block.all_static = false;
-        block.has_mem = true;
-        continue;
-      }
-      for (const AccessShape& shape : shapes) {
-        block.has_mem = true;
-        if (shape.base != kNoReg) {
-          block.all_static = false;
-          continue;
-        }
-        const Addr addr = static_cast<Addr>(shape.offset);
-        footprint_.push_back({addr, shape.size});
-        block.hull_lo = std::min(block.hull_lo, addr);
-        block.hull_hi = std::max(block.hull_hi, addr + shape.size);
-      }
     }
-    block.fp_end = static_cast<std::uint32_t>(footprint_.size());
-    if (block.fp_first == block.fp_end) {
-      block.hull_lo = 0;
-      block.hull_hi = 0;
-    }
-    blocks_.push_back(block);
+    blocks_.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(end)});
     i = end;
   }
-}
-
-bool BlockTranslation::BlockCheckFree(std::uint32_t block_id,
-                                      const DebugRegisterFile& regs) const {
-  if (!regs.any_armed()) {
-    return true;
-  }
-  const TransBlock& b = blocks_[block_id];
-  if (!b.has_mem) {
-    return true;
-  }
-  if (!b.all_static) {
-    // Dynamic addresses (register-indirect or stack traffic): the footprint
-    // is incomplete, so no whole-block proof exists — the engine falls back
-    // to per-access MayMatch filtering inside this block.
-    return false;
-  }
-  for (std::uint32_t i = b.fp_first; i < b.fp_end; ++i) {
-    const StaticAccess& access = footprint_[i];
-    if (regs.AnyEnabledOverlap(access.addr, access.addr + access.size)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace exec

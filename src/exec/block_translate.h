@@ -5,19 +5,17 @@
 // discovers basic blocks, each instruction is predecoded into a compact
 // TransOp specialized by addressing mode, and static branch/call targets are
 // resolved to op indices so the hot loop chains ops without touching the
-// PC->index table. Per-block *static footprints* (the accesses performed
-// through absolute operands) let the interpreter prove at translation time
-// that a whole block can never touch an armed watchpoint range — such
-// blocks run check-free, hoisting the per-access watchpoint filter to the
-// block boundary (the check-hoisting idea of "Fast Atomicity Monitoring";
-// the translation tier itself follows Valgrind's ucode playbook).
+// PC->index table (the translation tier follows Valgrind's ucode playbook).
+// Watchpoints are not part of the translation: the executor tests each op
+// that touches memory against the armed hull of its core's registers
+// (exec/block_exec.cc).
 //
 // The translation is derived once per ProgramImage, so sweep, fuzz and
 // shrink workers sharing an image share the translation. It is purely
 // structural: PCs, instruction indices and per-instruction costs are
 // preserved exactly, which is what keeps block runs byte-identical to the
-// PR 5 fast loop and the reference loop (block_translate_test), and keeps
-// `kivati annotate`/`analyze` line attribution untouched.
+// per-instruction fast loop and the reference loop (block_translate_test),
+// and keeps `kivati annotate`/`analyze` line attribution untouched.
 #ifndef KIVATI_EXEC_BLOCK_TRANSLATE_H_
 #define KIVATI_EXEC_BLOCK_TRANSLATE_H_
 
@@ -25,7 +23,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "hw/debug_registers.h"
 #include "isa/program.h"
 
 namespace kivati {
@@ -93,29 +90,9 @@ struct TransOp {
   std::int64_t b = 0;
 };
 
-// One access from a block's static footprint: performed through an absolute
-// memory operand, so its address is known at translation time.
-struct StaticAccess {
-  Addr addr = 0;
-  std::uint32_t size = 0;
-};
-
 struct TransBlock {
   std::uint32_t first_op = 0;
   std::uint32_t end_op = 0;  // one past the last op
-  // Range into BlockTranslation::static_footprint().
-  std::uint32_t fp_first = 0;
-  std::uint32_t fp_end = 0;
-  // Hull of the static footprint, [hull_lo, hull_hi); empty when no static
-  // accesses.
-  Addr hull_lo = 0;
-  Addr hull_hi = 0;
-  // True when *every* memory access any op of this block can perform is
-  // static (no register-indirect or stack-pointer operands): the footprint
-  // is then complete and a disjointness proof against the armed watchpoints
-  // covers the whole block.
-  bool all_static = false;
-  bool has_mem = false;  // any op accesses memory at all
 };
 
 class BlockTranslation {
@@ -130,7 +107,6 @@ class BlockTranslation {
 
   std::size_t num_blocks() const { return blocks_.size(); }
   const TransBlock& block(std::uint32_t id) const { return blocks_[id]; }
-  const std::vector<StaticAccess>& static_footprint() const { return footprint_; }
 
   // Op index of the instruction whose first byte is at `pc`; kNoOp when the
   // PC is invalid (mid-instruction, past text_end, kThreadExitPc).
@@ -141,18 +117,9 @@ class BlockTranslation {
     return pc_to_op_[static_cast<std::size_t>(pc)];
   }
 
-  // The hoisting proof: true when no enabled watchpoint in `regs` can
-  // overlap any access the block performs, so every op of the block may
-  // execute without per-access checks. Exact for all_static blocks (the
-  // footprint is complete); conservatively false otherwise. Callers memoize
-  // the verdict keyed on the register file's generation() plus the
-  // machine's invalidation epoch (Machine::InvalidateBlockChecks).
-  bool BlockCheckFree(std::uint32_t block_id, const DebugRegisterFile& regs) const;
-
  private:
   std::vector<TransOp> ops_;          // one per instruction index
   std::vector<TransBlock> blocks_;
-  std::vector<StaticAccess> footprint_;
   std::vector<std::uint32_t> pc_to_op_;  // dense, sized text_end
 };
 

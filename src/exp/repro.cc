@@ -254,11 +254,16 @@ class JsonParser {
   }
 
   Json ParseValue() {
-    switch (Peek()) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+    const char c = Peek();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      Json v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': {
         Json v;
         v.type = Json::Type::kString;
@@ -420,8 +425,14 @@ class JsonParser {
     }
   }
 
+  // Deepest array/object nesting accepted. Artifacts nest four levels;
+  // the cap keeps hostile input from overflowing the stack here and in
+  // Json's recursive destructor.
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 [[noreturn]] void SchemaFail(const std::string& what) {
@@ -441,6 +452,16 @@ std::uint64_t AsUint(const Json& v, const std::string& where) {
     SchemaFail("'" + where + "' must be an unsigned integer");
   }
   return v.uinteger;
+}
+
+// AsUint within the inclusive range [lo, hi].
+std::uint64_t AsUintIn(const Json& v, const std::string& where, std::uint64_t lo,
+                       std::uint64_t hi) {
+  const std::uint64_t value = AsUint(v, where);
+  if (value < lo || value > hi) {
+    SchemaFail("'" + where + "' must be in " + std::to_string(lo) + ".." + std::to_string(hi));
+  }
+  return value;
 }
 
 double AsDouble(const Json& v, const std::string& where) {
@@ -483,16 +504,19 @@ RunSpec SpecFromJson(const Json& j) {
   } else {
     SchemaFail("spec needs one of 'bug', 'app', 'source'");
   }
-  spec.scale.workers = static_cast<int>(AsUint(Require(j, "workers"), "workers"));
-  spec.scale.iterations = static_cast<int>(AsUint(Require(j, "iterations"), "iterations"));
+  spec.scale.workers =
+      static_cast<int>(AsUintIn(Require(j, "workers"), "workers", 1, kMaxAppWorkers));
+  spec.scale.iterations =
+      static_cast<int>(AsUintIn(Require(j, "iterations"), "iterations", 1, kMaxAppIterations));
   spec.scale.prune = AsBool(Require(j, "prune"), "prune");
   spec.scale.annotator.interprocedural =
       AsBool(Require(j, "interprocedural"), "interprocedural");
   spec.scale.annotator.precise_aliasing =
       AsBool(Require(j, "precise_aliasing"), "precise_aliasing");
-  spec.machine.num_cores = static_cast<unsigned>(AsUint(Require(j, "cores"), "cores"));
-  spec.machine.watchpoints_per_core =
-      static_cast<unsigned>(AsUint(Require(j, "watchpoints"), "watchpoints"));
+  spec.machine.num_cores =
+      static_cast<unsigned>(AsUintIn(Require(j, "cores"), "cores", 1, kMaxCores));
+  spec.machine.watchpoints_per_core = static_cast<unsigned>(
+      AsUintIn(Require(j, "watchpoints"), "watchpoints", 1, kMaxWatchpointCount));
   spec.machine.quantum = AsUint(Require(j, "quantum"), "quantum");
   spec.machine.seed = AsUint(Require(j, "seed"), "seed");
   const std::string& policy = AsString(Require(j, "policy"), "policy");

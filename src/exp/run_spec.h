@@ -27,6 +27,14 @@
 namespace kivati {
 namespace exp {
 
+// Inclusive upper bounds on the RunSpec fields that size a run; each lower
+// bound is 1, and watchpoints run 1..kMaxWatchpointCount. The CLI's option
+// tables and the repro-artifact reader (repro.h) both enforce them, so a
+// saved artifact cannot ask for a run the command line would refuse.
+inline constexpr unsigned kMaxCores = 256;             // machine.num_cores
+inline constexpr int kMaxAppWorkers = 256;             // scale.workers
+inline constexpr int kMaxAppIterations = 100'000'000;  // scale.iterations
+
 struct RunSpec {
   // Display / report label; defaults to the workload name plus the
   // configuration suffix (see SpecGrid).

@@ -64,15 +64,6 @@ std::optional<unsigned> DebugRegisterFile::MatchSlots(Addr addr, unsigned size,
   return std::nullopt;
 }
 
-bool DebugRegisterFile::AnyEnabledOverlap(Addr lo, Addr hi) const {
-  for (const WatchpointConfig& reg : regs_) {
-    if (reg.enabled && lo < reg.addr + reg.size && reg.addr < hi) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void DebugRegisterFile::CopyFrom(const DebugRegisterFile& other) {
   assert(regs_.size() == other.regs_.size());
   regs_ = other.regs_;

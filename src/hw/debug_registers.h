@@ -77,13 +77,6 @@ class DebugRegisterFile {
     return armed_count_ != 0 && addr < armed_max_end_ && armed_min_addr_ < addr + size;
   }
 
-  // Exact, type-agnostic overlap scan: true if any enabled slot's watched
-  // range intersects [lo, hi). The block-translation engine's hoisting
-  // proof (exec/block_translate.h) tests each static block access with
-  // this; verdicts are memoized against generation(), so the scan is off
-  // the per-instruction path.
-  bool AnyEnabledOverlap(Addr lo, Addr hi) const;
-
   // Copies the full register image from `other` (the cross-core sync step).
   void CopyFrom(const DebugRegisterFile& other);
 

@@ -89,9 +89,6 @@ std::optional<unsigned> KivatiKernel::AcquireSlot() {
 }
 
 void KivatiKernel::ArmSlot(unsigned slot, Addr addr, unsigned size, WatchType watch) {
-  // Arming changes which blocks the translation engine may run check-free;
-  // drop every memoized hoisting verdict (exec/block_translate.h).
-  machine_.InvalidateBlockChecks();
   canonical_.Set(slot, addr, size, watch);
   for (CoreId core = 0; core < machine_.num_cores(); ++core) {
     WriteHardwareImage(core);
@@ -107,7 +104,6 @@ void KivatiKernel::ArmSlot(unsigned slot, Addr addr, unsigned size, WatchType wa
 }
 
 void KivatiKernel::DisarmSlot(unsigned slot) {
-  machine_.InvalidateBlockChecks();
   canonical_.Clear(slot);
   for (CoreId core = 0; core < machine_.num_cores(); ++core) {
     WriteHardwareImage(core);
@@ -336,14 +332,6 @@ PathTaken KivatiKernel::BeginAtomic(ThreadId tid, const Instruction& instr, Addr
   ar.depth = machine_.thread(tid).call_depth;
   ar.first = instr.local_first;
   ar.remote_watch = instr.watch;
-  // Installing a multi-variable joint mask widens what counts as a
-  // conflicting access under this AR's watchpoint; conservatively drop the
-  // block engine's memoized check-free verdicts too (the proofs only
-  // depend on the armed ranges, but the invalidation contract is "any
-  // arm/disarm or joint-mask change" — docs/performance.md).
-  if (instr.joint != WatchType::kNone) {
-    machine_.InvalidateBlockChecks();
-  }
   ar.joint = instr.joint;
   ar.begin_pc = machine_.current_instruction_pc();
   ar.begin_at = machine_.now();

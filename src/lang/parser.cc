@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include <string>
 #include <utility>
 
 namespace kivati {
@@ -68,6 +69,34 @@ class Parser {
   [[noreturn]] void Fail(const std::string& message) const {
     throw ParseError(message, Peek().line, Peek().column);
   }
+
+  // Deepest nesting the parser accepts. The parser and every pass over the
+  // tree recurse once per level, so deeper input fails here with a
+  // ParseError instead of overflowing the stack. A level is a statement, an
+  // else-if, a unary operand, an operator-precedence descent or one
+  // operator of a left-associative chain; a parenthesized expression costs
+  // two. The corpus and the apps nest a few dozen levels at most.
+  static constexpr int kMaxNesting = 1000;
+
+  // Nesting held until the guard goes out of scope: one level on entry,
+  // plus one per Deeper() call.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser), saved_(parser.depth_) { Deeper(); }
+    ~Nest() { parser_.depth_ = saved_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+    void Deeper() {
+      if (++parser_.depth_ > kMaxNesting) {
+        parser_.Fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+      }
+    }
+
+   private:
+    Parser& parser_;
+    const int saved_;
+  };
 
   // --- Top level -------------------------------------------------------------
 
@@ -154,6 +183,7 @@ class Parser {
   // --- Statements ------------------------------------------------------------
 
   StmtPtr ParseStatement() {
+    const Nest nest(*this);
     switch (Peek().kind) {
       case TokenKind::kKwInt:
         return ParseDecl();
@@ -217,6 +247,7 @@ class Parser {
     stmt->body = ParseBlock();
     if (Match(TokenKind::kKwElse)) {
       if (Check(TokenKind::kKwIf)) {
+        const Nest nest(*this);
         stmt->else_body.push_back(ParseIf());
       } else {
         Expect(TokenKind::kLBrace, "after 'else' (braces are required)");
@@ -369,12 +400,14 @@ class Parser {
   }
 
   ExprPtr ParseBinary(int min_precedence) {
+    Nest nest(*this);
     ExprPtr lhs = ParseUnary();
     while (true) {
       const int precedence = PrecedenceOf(Peek().kind);
       if (precedence < 0 || precedence < min_precedence) {
         return lhs;
       }
+      nest.Deeper();  // the chain so far becomes the left operand
       const Token op = Advance();
       ExprPtr rhs = ParseBinary(precedence + 1);
       auto node = std::make_unique<Expr>();
@@ -388,6 +421,7 @@ class Parser {
   }
 
   ExprPtr ParseUnary() {
+    const Nest nest(*this);
     if (Match(TokenKind::kStar)) {
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kDeref;
@@ -472,6 +506,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // current nesting (Nest)
 };
 
 }  // namespace

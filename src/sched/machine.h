@@ -65,14 +65,14 @@ struct MachineConfig {
   // (`kivati run --no-fast-loop`, fast_loop_test).
   bool fast_loop = true;
   // Execute through the basic-block translation engine (exec/
-  // block_translate.h): predecoded fused superinstructions with the
-  // per-instruction watchpoint filter and scheduler poll hoisted to block
-  // boundaries. Only active together with fast_loop. Schedule controllers
-  // (record, replay, guided) run fused; while an access-level trace sink
-  // listens, only ops touching shared data take the per-instruction path;
-  // address tracing deoptimizes the whole run. Must be byte-identical
-  // either way (`kivati run --no-block-translate`, block_translate_test,
-  // fused_modes_test).
+  // block_translate.h): predecoded fused superinstructions that run all busy
+  // cores in rounds, with one armed-hull watchpoint test per memory op and
+  // the scheduler poll hoisted out of the op loop. Only active together with
+  // fast_loop. Schedule controllers (record, replay, guided) run fused;
+  // while an access-level trace sink listens, only ops touching shared data
+  // take the per-instruction path; address tracing deoptimizes the whole
+  // run. Must be byte-identical either way (`kivati run
+  // --no-block-translate`, block_translate_test, fused_modes_test).
   bool block_translate = true;
 };
 
@@ -181,15 +181,6 @@ class Machine {
   // Adds `cycles` to the cost of the instruction currently executing (how
   // hooks charge kernel crossings, trap handling and fast-path work).
   void ChargeExtra(Cycles cycles) { pending_extra_ += cycles; }
-
-  // Block-cache invalidation hook: drops every memoized block check-free
-  // verdict. The kernel fires it whenever it arms or disarms a watchpoint
-  // slot or installs a multi-variable joint mask (kivati_kernel.cc), so a
-  // stale "this block cannot touch an armed range" proof can never outlive
-  // the registers it was proven against. Per-core register generations
-  // already key the memo exactly; the epoch is the explicit cross-layer
-  // contract (docs/performance.md).
-  void InvalidateBlockChecks() { ++block_epoch_; }
 
   // Number of threads not yet done (for workload harnesses).
   std::size_t live_threads() const;
@@ -372,19 +363,9 @@ class Machine {
   bool min_core_valid_ = false;
 
   // --- Block-translation state (exec/block_exec.cc) ------------------------
-  // Per-core memoized check-free verdict for the block the core is
-  // executing, keyed on (block, register generation, invalidation epoch).
-  struct BlockVerdict {
-    std::uint32_t block = exec::BlockTranslation::kNoOp;
-    std::uint64_t generation = ~std::uint64_t{0};
-    std::uint64_t epoch = ~std::uint64_t{0};
-    bool check_free = false;
-  };
-  std::vector<BlockVerdict> block_verdicts_;
   // Per-core cursor into the translated op array, valid only within one
   // RunTranslated call (kNoOp = re-derive from the thread's PC).
   std::vector<std::uint32_t> block_cursors_;
-  std::uint64_t block_epoch_ = 0;  // bumped by InvalidateBlockChecks
   // One busy core in the round executor: it runs an op at each round from
   // `next` (its clock) up to, not including, `limit`.
   struct RoundLane {
@@ -393,9 +374,7 @@ class Machine {
     ThreadContext* thread = nullptr;
     const DebugRegisterFile* regs = nullptr;
     std::uint32_t cursor = exec::BlockTranslation::kNoOp;
-    std::uint32_t block = exec::BlockTranslation::kNoOp;  // block of `check_free`
     bool watch = false;  // an op may need the per-op exit test
-    bool check_free = false;
     CoreId core = 0;
   };
   // Scratch for the round executor, reused across calls: the busy cores in

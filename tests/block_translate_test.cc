@@ -3,8 +3,7 @@
 // Three layers of guardrails:
 //   1. Structural unit tests of the translation: leader analysis (branch
 //      targets and barrier instructions open blocks), barrier singletons,
-//      static-target resolution, PC mapping, and the static-footprint
-//      hoisting proof (BlockCheckFree).
+//      static-target resolution and PC mapping.
 //   2. Byte-identity: every corpus bug — the 11 single-variable and the 4
 //      multi-variable ones — simulates identically under the block engine,
 //      the per-instruction fast loop and the reference loop: full RunRecord
@@ -26,7 +25,6 @@
 #include "exp/run_record.h"
 #include "exp/run_spec.h"
 #include "exp/runner.h"
-#include "hw/debug_registers.h"
 
 namespace kivati {
 namespace {
@@ -51,9 +49,8 @@ bool EndsBlock(FusedKind kind) {
          kind == FusedKind::kRet;
 }
 
-// A loop over an absolute global plus a helper call: exercises branch
-// leaders, annotation barriers, static (absolute) and dynamic (stack)
-// footprints in one small module.
+// A loop over a global plus a helper call: exercises branch leaders,
+// call targets and annotation barriers in one small module.
 CompiledProgram LoopProgram() {
   return CompileSource(
       "int g;\n"
@@ -134,69 +131,6 @@ TEST(BlockTranslationTest, StaticTargetsResolveToBlockLeaders) {
   }
   EXPECT_EQ(trans.OpIndexOfPc(cp.program.text_end()), kNoOp);
   EXPECT_EQ(trans.OpIndexOfPc(cp.program.text_end() + 100), kNoOp);
-}
-
-TEST(BlockTranslationTest, StaticFootprintProvesCheckFreedom) {
-  // Hand-built program so block contents are exact: a loop body accessing
-  // only the absolute address `g` (complete static footprint), followed by
-  // a register-indirect load (incomplete footprint).
-  constexpr Addr g = 4096;
-  ProgramBuilder builder;
-  builder.BeginFunction("main");
-  const ProgramBuilder::Label loop = builder.NewLabel();
-  builder.LoadImm(0, 5);
-  builder.Bind(loop);
-  builder.Load(1, MemOperand::Absolute(g));
-  builder.AddI(1, 1, 1);
-  builder.Store(MemOperand::Absolute(g), 1);
-  builder.AddI(0, 0, -1);
-  builder.Bnz(0, loop);
-  builder.Load(2, MemOperand::Indirect(3, 0));
-  builder.Halt();
-  builder.EndFunction();
-  const Program program = builder.Build();
-  const BlockTranslation trans(program);
-
-  std::uint32_t g_block = kNoOp;
-  std::uint32_t dynamic_block = kNoOp;
-  for (std::uint32_t id = 0; id < trans.num_blocks(); ++id) {
-    const TransBlock& b = trans.block(id);
-    if (b.all_static && b.has_mem && b.hull_lo <= g && g < b.hull_hi) {
-      g_block = id;
-    }
-    if (b.has_mem && !b.all_static && trans.op(b.first_op).kind != FusedKind::kBarrier) {
-      dynamic_block = id;
-    }
-  }
-  ASSERT_NE(g_block, kNoOp) << "no all-static block touches g";
-  ASSERT_NE(dynamic_block, kNoOp) << "no dynamic-footprint block found";
-  // The loop body's footprint is exactly the two sized accesses of g.
-  const TransBlock& gb = trans.block(g_block);
-  EXPECT_EQ(gb.fp_end - gb.fp_first, 2u);
-  EXPECT_EQ(gb.hull_lo, g);
-  EXPECT_EQ(gb.hull_hi, g + 8);
-
-  DebugRegisterFile regs;
-  // Nothing armed: every block runs check-free.
-  for (std::uint32_t id = 0; id < trans.num_blocks(); ++id) {
-    EXPECT_TRUE(trans.BlockCheckFree(id, regs)) << "block " << id;
-  }
-  // A watchpoint over g defeats the proof exactly for the touching block...
-  regs.Set(0, g, 8, WatchType::kReadWrite);
-  EXPECT_FALSE(trans.BlockCheckFree(g_block, regs));
-  // ...and any armed slot disables the proof for incomplete footprints.
-  EXPECT_FALSE(trans.BlockCheckFree(dynamic_block, regs));
-  // A disjoint watchpoint leaves the complete footprint provably free. The
-  // verdict tracks the register file: callers key their memoization on
-  // generation() (plus the machine's invalidation epoch), which every
-  // mutation above bumped.
-  const std::uint64_t before = regs.generation();
-  regs.Set(0, g + 4096, 8, WatchType::kReadWrite);
-  EXPECT_GT(regs.generation(), before);
-  EXPECT_TRUE(trans.BlockCheckFree(g_block, regs));
-  EXPECT_FALSE(trans.BlockCheckFree(dynamic_block, regs));
-  regs.Clear(0);
-  EXPECT_TRUE(trans.BlockCheckFree(dynamic_block, regs));
 }
 
 // --- Byte-identity across the engine stack ---------------------------------

@@ -1,14 +1,16 @@
 // Block-engine transparency across the configuration space the round
 // executor (exec/block_exec.cc) has special code for: core counts 1-8,
 // idle cores parked with and without hooks, quantum expiries inside a
-// round, the non-unit cost fallback and trap-before delivery; and under
-// schedule controllers and access-level sinks, which run fused
-// (docs/performance.md, "Deopt triggers"): strict replay, loose (shrunk)
-// replay, guided PCT and bounded-preemption fuzzing, and the
-// happens-before oracle. Each case runs once with block translation on and
-// once off and must produce byte-identical RunRecord JSON (modulo wall
-// clock), the same ScheduleTrace and the same access-event stream. At unit
-// instruction cost the block side must actually have run fused.
+// round, the non-unit cost fallback, trap-before delivery and watchpoint
+// counts (which set the armed hull each fused memory op is tested
+// against); and under schedule controllers and access-level sinks, which
+// run fused (docs/performance.md, "Deopt triggers"): strict replay, loose
+// (shrunk) replay, guided PCT and bounded-preemption fuzzing, and the
+// happens-before oracle, at up to eight cores. Each case runs once with
+// block translation on and once off and must produce byte-identical
+// RunRecord JSON (modulo wall clock), the same ScheduleTrace and the same
+// access-event stream. At unit instruction cost the block side must
+// actually have run fused.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -50,6 +52,7 @@ struct Case {
   bool vanilla = false;
   Cycles quantum = MachineConfig{}.quantum;
   Cycles user_instruction = CostModel{}.user_instruction;
+  unsigned watchpoints = MachineConfig{}.watchpoints_per_core;
 };
 
 bool IsApp(const Case& c) { return c.workload.find('-') == std::string::npos; }
@@ -70,6 +73,9 @@ void PrintTo(const Case& c, std::ostream* os) {
   }
   if (c.user_instruction != CostModel{}.user_instruction) {
     *os << " ucost" << c.user_instruction;
+  }
+  if (c.watchpoints != MachineConfig{}.watchpoints_per_core) {
+    *os << " w" << c.watchpoints;
   }
 }
 
@@ -109,6 +115,7 @@ exp::RunSpec BaseSpec(const Case& c) {
   spec.machine.trap_delivery = c.trap;
   spec.machine.quantum = c.quantum;
   spec.machine.costs.user_instruction = c.user_instruction;
+  spec.machine.watchpoints_per_core = c.watchpoints;
   return spec;
 }
 
@@ -273,6 +280,10 @@ std::vector<Case> AllCases() {
         cases.push_back({bug, cores, mode});
       }
     }
+    // Above four cores: a replaying and a guided controller, and the oracle.
+    for (const Mode mode : {Mode::kStrictReplay, Mode::kGuidedPct, Mode::kHbDetector}) {
+      cases.push_back({bug, 8, mode});
+    }
     // No controller, in both usage modes, at every core count the round
     // executor treats alike.
     for (const unsigned cores : {1u, 2u, 3u, 4u, 8u}) {
@@ -287,6 +298,20 @@ std::vector<Case> AllCases() {
         cases.push_back({.workload = app, .cores = cores, .mode = Mode::kPlain,
                          .vanilla = vanilla});
       }
+    }
+  }
+  // Fewer and more watchpoint registers than x86's four: the armed hull
+  // every fused memory op is tested against narrows and widens. TPC-W is
+  // where the hull is loosest: some of its ops leave fused code although
+  // no single armed slot overlaps them.
+  for (const unsigned watchpoints : {2u, 8u}) {
+    for (const char* app : {"tpcw", "nss"}) {
+      cases.push_back({.workload = app, .cores = 2, .mode = Mode::kPlain,
+                       .watchpoints = watchpoints});
+    }
+    for (const char* bug : {"NSS-329072", "MySQL-38883"}) {
+      cases.push_back({.workload = bug, .cores = 2, .mode = Mode::kPlain,
+                       .watchpoints = watchpoints});
     }
   }
   // Trap-before hardware cancels the trapping access instead of undoing it;

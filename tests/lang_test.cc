@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "lang/lexer.h"
 #include "lang/parser.h"
 
@@ -142,6 +145,37 @@ TEST(ParserTest, ArrayIndexing) {
 
 TEST(ParserTest, RejectsAssignToRValue) {
   EXPECT_THROW(Parse("void f() { 1 = 2; }"), ParseError);
+}
+
+// Every recursive shape the parser accepts, nested `n` deep.
+std::vector<std::string> NestedSources(int n) {
+  const auto repeat = [](const std::string& s, int times) {
+    std::string out;
+    for (int i = 0; i < times; ++i) {
+      out += s;
+    }
+    return out;
+  };
+  const std::string head = "int g; void f(int x) { ";
+  return {
+      head + "g = " + repeat("(", n) + "1" + repeat(")", n) + "; }",
+      head + "g = 1" + repeat(" + 1", n) + "; }",
+      head + "g = " + repeat("-", n) + "1; }",
+      head + "f(" + repeat("g[", n) + "0" + repeat("]", n) + "); }",
+      head + repeat("if (x) { ", n) + "g = 1;" + repeat(" }", n) + " }",
+      head + "if (x) { g = 1; }" + repeat(" else if (x) { g = 1; }", n) + " }",
+  };
+}
+
+TEST(ParserTest, RejectsExcessiveNesting) {
+  // Deep enough to overflow the stack without the cap; a clean error instead.
+  for (const std::string& source : NestedSources(100'000)) {
+    EXPECT_THROW(Parse(source), ParseError) << source.substr(0, 40);
+  }
+  // Nesting far beyond real programs still parses.
+  for (const std::string& source : NestedSources(100)) {
+    EXPECT_NO_THROW(Parse(source)) << source.substr(0, 40);
+  }
 }
 
 TEST(ParserTest, RejectsMissingBraces) {

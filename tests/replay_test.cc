@@ -245,10 +245,32 @@ TEST(ReproArtifactTest, JsonRoundTrip) {
   EXPECT_EQ(loaded.trace.checkpoints, rec.trace->checkpoints);
 }
 
+// A well-formed artifact whose spec field `field` reads `value` instead.
+std::string ArtifactWith(const std::string& field, const std::string& value) {
+  std::string json =
+      exp::ToJson(exp::MakeReproArtifact(BugSpec("NSS-329072"), ScheduleTrace{}, {}));
+  const std::string key = "\"" + field + "\":";
+  const std::size_t at = json.find(key) + key.size();
+  json.replace(at, json.find_first_of(",}", at) - at, value);
+  return json;
+}
+
 TEST(ReproArtifactTest, RejectsMalformedJson) {
   EXPECT_THROW(exp::ReproFromJson("{"), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson("{\"kind\":\"other\"}"), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson("[1,2,3]"), std::runtime_error);
+  // Nesting deep enough to overflow a recursive parser's stack.
+  EXPECT_THROW(exp::ReproFromJson(std::string(200'000, '[')), std::runtime_error);
+
+  // Machine and scale fields outside the bounds the CLI enforces.
+  EXPECT_NO_THROW(exp::ReproFromJson(ArtifactWith("cores", "2")));
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("cores", "0")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("cores", "100000")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("watchpoints", "0")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("watchpoints", "100")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("workers", "0")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("iterations", "100000001")),
+               std::runtime_error);
 }
 
 TEST(ShrinkTest, ShrinksNssBugToReproducingSubset) {

@@ -378,7 +378,7 @@ void AddSingleRunOptions(exp::OptionTable& table, CliOptions& options) {
   table.Value("--threads", "f[:arg][,f[:arg]...]", [&options](const std::string& value) {
     return ParseThreadsSpec(value, &options.threads);
   });
-  table.Unsigned("--cores", &options.cores, "simulated cores", 1, 256);
+  table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.U64("--seed", &options.seed, "scheduler seed");
@@ -439,13 +439,14 @@ exp::OptionTable CompareTable(CliOptions& options) {
     options.max_cycles = parsed;
     return std::string();
   });
-  table.Unsigned("--cores", &options.cores, "simulated cores", 1, 256);
+  table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.U64("--seed", &options.seed, "scheduler seed");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
   table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
-            100'000'000);
+            exp::kMaxAppIterations);
   table.Flag("--multivar", &options.compare_multivar,
              "compare over the multi-variable bug corpus (apps::MultiVarBugCorpus)");
   AddAnnotatorOptions(table, options);
@@ -548,8 +549,10 @@ exp::OptionTable AnalyzeTable(CliOptions& options) {
   });
   table.Flag("--json", &options.json_to_stdout,
              "conflict report as JSON on stdout (human report moves to stderr)");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1, 100'000'000);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
   AddAnnotatorOptions(table, options);
   return table;
 }
@@ -638,7 +641,7 @@ exp::OptionTable SweepTable(CliOptions& options) {
                : "--seeds: '" + value + "' is not a seed list";
   });
   table.Value("--cores", "core counts to sweep", [&options](const std::string& value) {
-    return UnsignedList("--cores", value, 1, 256, &options.cores_list);
+    return UnsignedList("--cores", value, 1, exp::kMaxCores, &options.cores_list);
   });
   table.Value("--watchpoints", "watchpoint counts to sweep",
               [&options](const std::string& value) {
@@ -658,8 +661,10 @@ exp::OptionTable SweepTable(CliOptions& options) {
   table.String("--json", &options.json_path, "write the sweep report ('-' = stdout)");
   table.String("--record-schedule", &options.record_schedule_path,
                "save a repro artifact for the first violating spec");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1, 100'000'000);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
   return table;
 }
 
@@ -702,7 +707,7 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
   table.Unsigned("--repeats", &options.repeats, "wall-time repeats per cell", 1, 1000);
   table.U64("--seed", &options.seed, "scheduler seed");
   table.Value("--cores", "core counts to bench", [&options](const std::string& value) {
-    return UnsignedList("--cores", value, 1, 256, &options.cores_list);
+    return UnsignedList("--cores", value, 1, exp::kMaxCores, &options.cores_list);
   });
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
@@ -714,8 +719,10 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
     options.max_cycles = parsed;
     return std::string();
   });
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1, 100'000'000);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
   table.Flag("--block-only", &options.block_only, "measure only the block engine");
   table.Flag("--fast-only", &options.fast_only, "measure only the optimized loop");
   table.Flag("--reference-only", &options.reference_only, "measure only the reference loop");
