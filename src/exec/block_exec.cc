@@ -322,7 +322,6 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     --c.quantum_left;
     ++t.instructions;
     ++instructions_executed_;
-    min_core_valid_ = false;  // the cached pick may be stale after the context-switch charge
   }
 
   std::uint64_t steps = 1;
@@ -396,7 +395,13 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     // constants. A lane leaves at the first op that is a barrier, that may
     // trap, or (while a sink listens) that touches shared data — that turn
     // becomes the stop point.
-    const auto run_rounds = [&] {
+    //
+    // Pinned to a 64-byte boundary: the rounds' speed depends on where the
+    // linker places them (docs/performance.md, "Code alignment"). In a
+    // Release build (GCC 12), moving this unchanged body from 16 to 32 mod
+    // 64 slowed NSS/vanilla at two cores from 67-69 ms to about 75 ms; with
+    // -falign-functions=64 every variant measured took 65-70 ms.
+    const auto run_rounds = [&]() __attribute__((aligned(64))) {
       for (Cycles round = first_round;;) {
         // The lanes at `round` act in every round until one reaches its
         // limit or another lane joins; until then rounds are full and need
@@ -510,7 +515,6 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
       c.clock = to;
     }
     executing_core_ = last_core;
-    min_core_valid_ = false;
 
     if (!stop_steps_idle) {
       return steps;  // the generic loop handles whatever ended the rounds

@@ -14,8 +14,8 @@
 // shrink workers sharing an image share the translation. It is purely
 // structural: PCs, instruction indices and per-instruction costs are
 // preserved exactly, which is what keeps block runs byte-identical to the
-// per-instruction fast loop and the reference loop (block_translate_test),
-// and keeps `kivati annotate`/`analyze` line attribution untouched.
+// per-instruction loop (block_translate_test, fused_modes_test), and keeps
+// `kivati annotate`/`analyze` line attribution untouched.
 #ifndef KIVATI_EXEC_BLOCK_TRANSLATE_H_
 #define KIVATI_EXEC_BLOCK_TRANSLATE_H_
 

@@ -38,7 +38,6 @@ InterpBenchEntry Measure(const RunSpec& cell, const std::shared_ptr<const apps::
   InterpBenchEntry entry;
   entry.engine = engine;
   RunSpec spec = cell;
-  spec.machine.fast_loop = engine != "reference";
   spec.machine.block_translate = engine == "block";
   spec.prebuilt = app;
   spec.image = image;
@@ -91,7 +90,6 @@ std::vector<InterpBenchEntry> RunInterpBench(
   std::vector<std::string> engines;
   if (bench.include_block) engines.push_back("block");
   if (bench.include_fast) engines.push_back("fast");
-  if (bench.include_reference) engines.push_back("reference");
   if (engines.empty()) {
     throw std::runtime_error("bench-interp needs at least one engine");
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace kivati {
@@ -52,7 +53,7 @@ bool ParseF64(const std::string& text, double* out) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) {
+  if (errno != 0 || end != text.c_str() + text.size() || !std::isfinite(value)) {
     return false;
   }
   *out = value;

@@ -20,7 +20,8 @@ namespace exp {
 
 // Strict scalar parsers: the whole token must be a number of the target type
 // (leading/trailing junk, empty strings and out-of-range values fail).
-// Decimal, hex (0x...) and octal are accepted for the integer forms.
+// Decimal, hex (0x...) and octal are accepted for the integer forms;
+// ParseF64 rejects infinities and NaN.
 bool ParseU64(const std::string& text, std::uint64_t* out);
 bool ParseI64(const std::string& text, std::int64_t* out);
 bool ParseF64(const std::string& text, double* out);

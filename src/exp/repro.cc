@@ -464,9 +464,13 @@ std::uint64_t AsUintIn(const Json& v, const std::string& where, std::uint64_t lo
   return value;
 }
 
-double AsDouble(const Json& v, const std::string& where) {
+// A number within the inclusive range [lo, hi].
+double AsDoubleIn(const Json& v, const std::string& where, double lo, double hi) {
   if (v.type != Json::Type::kNumber) {
     SchemaFail("'" + where + "' must be a number");
+  }
+  if (!(v.number >= lo && v.number <= hi)) {
+    SchemaFail("'" + where + "' is out of range");
   }
   return v.number;
 }
@@ -517,7 +521,7 @@ RunSpec SpecFromJson(const Json& j) {
       static_cast<unsigned>(AsUintIn(Require(j, "cores"), "cores", 1, kMaxCores));
   spec.machine.watchpoints_per_core = static_cast<unsigned>(
       AsUintIn(Require(j, "watchpoints"), "watchpoints", 1, kMaxWatchpointCount));
-  spec.machine.quantum = AsUint(Require(j, "quantum"), "quantum");
+  spec.machine.quantum = AsUintIn(Require(j, "quantum"), "quantum", 1, ~Cycles{0});
   spec.machine.seed = AsUint(Require(j, "seed"), "seed");
   const std::string& policy = AsString(Require(j, "policy"), "policy");
   if (policy == "random") {
@@ -542,7 +546,7 @@ RunSpec SpecFromJson(const Json& j) {
   if (!ParseMode(AsString(Require(j, "mode"), "mode"), &spec.mode)) {
     SchemaFail("unknown mode");
   }
-  spec.pause_ms = AsDouble(Require(j, "pause_ms"), "pause_ms");
+  spec.pause_ms = AsDoubleIn(Require(j, "pause_ms"), "pause_ms", 0.0, kMaxPauseMs);
   if (const Json* path = j.Find("whitelist_path")) {
     spec.whitelist_path = AsString(*path, "whitelist_path");
   }

@@ -56,16 +56,6 @@ ThreadId Machine::SpawnThreadByName(const std::string& function, std::uint64_t a
   return SpawnThread(info->entry, arg);
 }
 
-std::size_t Machine::live_threads() const {
-  std::size_t live = 0;
-  for (const auto& t : threads_) {
-    if (t->state != ThreadState::kDone) {
-      ++live;
-    }
-  }
-  return live;
-}
-
 void Machine::EnterTimedWait(Cycles wake_at) {
   ++timed_waiters_;
   if (earliest_valid_ && wake_at < earliest_deadline_) {
@@ -203,52 +193,19 @@ void Machine::WakeExpiredTimers() {
 }
 
 Cycles Machine::EarliestDeadlineSlow() const {
-  if (!config_.fast_loop) {
-    // Reference loop: always scan (the cache is still maintained, but the
-    // reference path must not depend on it).
-    Cycles earliest = ~Cycles{0};
-    for (const auto& tp : threads_) {
-      if (IsTimedWait(*tp)) {
-        earliest = std::min(earliest, tp->wake_at);
-      }
-    }
-    return earliest;
-  }
+  earliest_deadline_ = ScanEarliestDeadline();
+  earliest_valid_ = true;
+  return earliest_deadline_;
+}
+
+Cycles Machine::ScanEarliestDeadline() const {
   Cycles earliest = ~Cycles{0};
   for (const auto& tp : threads_) {
     if (IsTimedWait(*tp)) {
       earliest = std::min(earliest, tp->wake_at);
     }
   }
-  earliest_deadline_ = earliest;
-  earliest_valid_ = true;
-  return earliest_deadline_;
-}
-
-CoreId Machine::RescanMinCore() {
-  CoreId min = 0;
-  for (CoreId i = 1; i < cores_.size(); ++i) {
-    if (cores_[i].clock < cores_[min].clock) {
-      min = i;
-    }
-  }
-  if (cores_.size() > 1) {
-    CoreId second = min == 0 ? 1 : 0;
-    for (CoreId i = 0; i < cores_.size(); ++i) {
-      if (i == min || i == second) {
-        continue;
-      }
-      const Core& a = cores_[i];
-      const Core& b = cores_[second];
-      if (a.clock < b.clock || (a.clock == b.clock && i < second)) {
-        second = i;
-      }
-    }
-    second_core_ = second;
-  }
-  min_core_ = min;
-  min_core_valid_ = true;
-  return min_core_;
+  return earliest;
 }
 
 void Machine::Reschedule(CoreId core, bool timer_interrupt) {
@@ -307,9 +264,6 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
     hooks_->OnKernelEntry(core);
     Reschedule(core, /*timer_interrupt=*/false);
     if (c.current != kInvalidThread) {
-      if (config_.fast_loop) {
-        FixMinCoreAfterAdvance(core);
-      }
       return IdleOutcome::kProgress;
     }
   }
@@ -330,46 +284,29 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
     next_time = c.clock + 1;
   }
   c.clock = std::max(c.clock + 1, next_time);
-  if (config_.fast_loop) {
-    FixMinCoreAfterAdvance(core);
-  }
   return IdleOutcome::kProgress;
 }
 
-
 RunResult Machine::Run(Cycles max_cycles) {
   RunResult result;
-  const bool fast = config_.fast_loop;
-  // Block-translated execution needs the fast loop's caches and the unit
-  // instruction cost its rounds assume (no caller sets another; any other
-  // cost runs per instruction). Address tracing is the other whole-run
-  // deopt: it inspects every instruction's access list. A
-  // ScheduleController, recording or not, is consulted only in
-  // PopRunnable, at quantum preemptions and at begin_atomic; RunTranslated
-  // hands control back before each with instructions_executed_ flushed, so
-  // no decision, checkpoint or instruction stamp moves. Access-level sinks
-  // cost a per-op bail inside RunTranslated instead (re-read per entry,
-  // since they may subscribe mid-run).
-  const bool block_ok = fast && config_.block_translate && config_.costs.user_instruction == 1 &&
+  // Block-translated execution needs the unit instruction cost its rounds
+  // assume (no caller sets another; any other cost runs per instruction).
+  // Address tracing is the other whole-run deopt: it inspects every
+  // instruction's access list. A ScheduleController, recording or not, is
+  // consulted only in PopRunnable, at quantum preemptions and at
+  // begin_atomic; RunTranslated hands control back before each with
+  // instructions_executed_ flushed, so no decision, checkpoint or
+  // instruction stamp moves. Access-level sinks cost a per-op bail inside
+  // RunTranslated instead (re-read per entry, since they may subscribe
+  // mid-run).
+  const bool block_ok = config_.block_translate && config_.costs.user_instruction == 1 &&
                         config_.trace_addr == kInvalidAddr;
   while (true) {
-    const bool all_done = fast ? live_count_ == 0 : live_threads() == 0;
-    if (all_done) {
+    if (live_count_ == 0) {
       result.all_done = true;
       break;
     }
-    // Pick the core with the smallest clock (ties by core id).
-    CoreId core;
-    if (fast) {
-      core = MinClockCore();
-    } else {
-      core = 0;
-      for (CoreId i = 1; i < cores_.size(); ++i) {
-        if (cores_[i].clock < cores_[core].clock) {
-          core = i;
-        }
-      }
-    }
+    const CoreId core = MinClockCore();
     Core& c = cores_[core];
     if (c.clock >= max_cycles) {
       result.hit_limit = true;
@@ -378,7 +315,7 @@ RunResult Machine::Run(Cycles max_cycles) {
     now_ = c.clock;
     // The scan in WakeExpiredTimers wakes nothing unless a deadline has
     // expired; the cached earliest deadline makes that check O(1).
-    if (!fast || EarliestDeadline() <= now_) {
+    if (EarliestDeadline() <= now_) {
       WakeExpiredTimers();
     }
 
@@ -408,9 +345,6 @@ RunResult Machine::Run(Cycles max_cycles) {
       }
     }
     ExecuteOne(core);
-    if (fast) {
-      FixMinCoreAfterAdvance(core);
-    }
   }
   Cycles end = 0;
   for (const auto& c : cores_) {
@@ -420,7 +354,7 @@ RunResult Machine::Run(Cycles max_cycles) {
   result.instructions = instructions_executed_;
   if (result.deadlocked) {
     KIVATI_LOG(kWarning) << "machine deadlocked at cycle " << result.cycles << " with "
-                         << live_threads() << " live threads";
+                         << live_count_ << " live threads";
   }
   return result;
 }
@@ -430,9 +364,9 @@ void Machine::CollectAccesses(const ThreadContext& t, const Instruction& instr,
                               const DebugRegisterFile* filter) const {
   out.clear();
   // old_value is captured after the switch below — for every access, or
-  // (fast loop) only for accesses an armed watchpoint could match. Old
-  // values are consumed solely when the kernel undoes the *trapped* access,
-  // so skipping the capture for accesses that cannot trap is exact.
+  // only for accesses an armed watchpoint could match. Old values are
+  // consumed solely when the kernel undoes the *trapped* access, so
+  // skipping the capture for accesses that cannot trap is exact.
   switch (instr.op) {
     case Opcode::kLoad:
       out.push_back({EffectiveAddress(t, instr.mem), instr.size, AccessType::kRead});
@@ -495,7 +429,7 @@ void Machine::CollectAccesses(const ThreadContext& t, const Instruction& instr,
 }
 
 void Machine::ApplySemantics(CoreId core, ThreadContext& t, const Instruction& instr,
-                             unsigned length, const MemAccess* accesses) {
+                             unsigned length) {
   const ProgramCounter next_pc = t.pc + length;
   switch (instr.op) {
     case Opcode::kNop:
@@ -513,28 +447,26 @@ void Machine::ApplySemantics(CoreId core, ThreadContext& t, const Instruction& i
       t.pc = next_pc;
       break;
     case Opcode::kLoad: {
-      // When `accesses` is given, reuse the effective address computed by
-      // CollectAccesses (hooks cannot alter registers in between).
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
+      const Addr ea = EffectiveAddress(t, instr.mem);
       WriteReg(t, instr.rd, memory_.Read(ea, instr.size));
       t.pc = next_pc;
       break;
     }
     case Opcode::kStore: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
+      const Addr ea = EffectiveAddress(t, instr.mem);
       memory_.Write(ea, instr.size, ReadReg(t, instr.rs1));
       t.pc = next_pc;
       break;
     }
     case Opcode::kMovM: {
-      const Addr src = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem2);
-      const Addr dst = accesses != nullptr ? accesses[1].addr : EffectiveAddress(t, instr.mem);
+      const Addr src = EffectiveAddress(t, instr.mem2);
+      const Addr dst = EffectiveAddress(t, instr.mem);
       memory_.Write(dst, instr.size, memory_.Read(src, instr.size));
       t.pc = next_pc;
       break;
     }
     case Opcode::kXchg: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
+      const Addr ea = EffectiveAddress(t, instr.mem);
       const std::uint64_t old = memory_.Read(ea, instr.size);
       memory_.Write(ea, instr.size, ReadReg(t, instr.rs1));
       WriteReg(t, instr.rd, old);
@@ -613,7 +545,7 @@ void Machine::ApplySemantics(CoreId core, ThreadContext& t, const Instruction& i
       ++t.call_depth;
       break;
     case Opcode::kCallInd: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
+      const Addr ea = EffectiveAddress(t, instr.mem);
       const ProgramCounter target = memory_.Read(ea, 8);
       t.sp -= 8;
       memory_.Write(t.sp, 8, next_pc);
@@ -634,7 +566,7 @@ void Machine::ApplySemantics(CoreId core, ThreadContext& t, const Instruction& i
       t.pc = next_pc;
       break;
     case Opcode::kPushM: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
+      const Addr ea = EffectiveAddress(t, instr.mem);
       const std::uint64_t value = memory_.Read(ea, instr.size);
       t.sp -= 8;
       memory_.Write(t.sp, 8, value);
@@ -813,28 +745,20 @@ void Machine::ExecuteOne(CoreId core) {
   // Access-level event sinks (the HB detector, --trace-events=access) need
   // the access list, with old values, of every instruction run here (under
   // the block engine, only those touching shared data); the cached hub mask
-  // makes the check one load-and-test, and with no sink attached the fast
-  // loop below is untouched.
+  // makes the check one load-and-test. When no armed watchpoint exists on
+  // this core, address tracing is off and no sink wants access events,
+  // nobody observes the access list — skip building it (and the old-value
+  // memory reads) entirely. With watchpoints armed, collect but let
+  // MayMatch skip old-value capture for accesses outside the armed range
+  // hull (unless a consumer needs the values themselves).
   const bool access_events = (trace_.hub().mask() & kAccessEventKinds) != 0;
-  bool collected = true;
-  if (!config_.fast_loop) {
-    CollectAccesses(t, instr, access_scratch_);
+  const bool tracing = config_.trace_addr != kInvalidAddr;
+  const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
+  if (tracing || armed || access_events) {
+    CollectAccesses(t, instr, access_scratch_,
+                    tracing || access_events ? nullptr : &c.debug_regs);
   } else {
-    // Fast loop: when no armed watchpoint exists on this core, address
-    // tracing is off and no sink wants access events, nobody observes the
-    // access list — skip building it (and the old-value memory reads)
-    // entirely. With watchpoints armed, collect but let MayMatch skip
-    // old-value capture for accesses outside the armed range hull (unless a
-    // consumer needs the values themselves).
-    const bool tracing = config_.trace_addr != kInvalidAddr;
-    const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
-    if (tracing || armed || access_events) {
-      CollectAccesses(t, instr, access_scratch_,
-                      tracing || access_events ? nullptr : &c.debug_regs);
-    } else {
-      access_scratch_.clear();
-      collected = false;
-    }
+    access_scratch_.clear();
   }
 
   bool cancelled = false;
@@ -860,10 +784,7 @@ void Machine::ExecuteOne(CoreId core) {
         }
       }
     }
-    const MemAccess* eas =
-        config_.fast_loop && collected && !access_scratch_.empty() ? access_scratch_.data()
-                                                                   : nullptr;
-    ApplySemantics(core, t, instr, length, eas);
+    ApplySemantics(core, t, instr, length);
     if (traced_write_pending_) {
       traced_write_pending_ = false;
       KIVATI_LOG(kDebug) << "write: t" << t.tid << " pc=0x" << std::hex

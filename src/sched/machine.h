@@ -18,6 +18,7 @@
 #ifndef KIVATI_SCHED_MACHINE_H_
 #define KIVATI_SCHED_MACHINE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -58,21 +59,16 @@ struct MachineConfig {
   // Debug aid: every committed write overlapping this address is logged at
   // debug level with thread, PC and value.
   Addr trace_addr = kInvalidAddr;
-  // Use the optimized interpreter loop (armed-watchpoint access filtering,
-  // cached scheduler bookkeeping, effective-address reuse). Turning it off
-  // selects the straightforward reference loop, which must produce
-  // byte-identical runs — the determinism guardrail of docs/performance.md
-  // (`kivati run --no-fast-loop`, fast_loop_test).
-  bool fast_loop = true;
   // Execute through the basic-block translation engine (exec/
   // block_translate.h): predecoded fused superinstructions that run all busy
   // cores in rounds, with one armed-hull watchpoint test per memory op and
-  // the scheduler poll hoisted out of the op loop. Only active together with
-  // fast_loop. Schedule controllers (record, replay, guided) run fused;
-  // while an access-level trace sink listens, only ops touching shared data
-  // take the per-instruction path; address tracing deoptimizes the whole
-  // run. Must be byte-identical either way (`kivati run
-  // --no-block-translate`, block_translate_test, fused_modes_test).
+  // the scheduler poll hoisted out of the op loop. Schedule controllers
+  // (record, replay, guided) run fused; while an access-level trace sink
+  // listens, only ops touching shared data take the per-instruction path;
+  // address tracing deoptimizes the whole run. Turning it off selects the
+  // per-instruction loop alone, the oracle the block engine must match
+  // byte for byte (`kivati run --no-block-translate`, block_translate_test,
+  // fused_modes_test; docs/performance.md).
   bool block_translate = true;
 };
 
@@ -182,9 +178,6 @@ class Machine {
   // hooks charge kernel crossings, trap handling and fast-path work).
   void ChargeExtra(Cycles cycles) { pending_extra_ += cycles; }
 
-  // Number of threads not yet done (for workload harnesses).
-  std::size_t live_threads() const;
-
  private:
   struct Core {
     Cycles clock = 0;
@@ -203,17 +196,19 @@ class Machine {
 
   void WakeExpiredTimers();
   // Inline cached-hit path: the per-iteration expiry check must not cost a
-  // function call. The slow path rescans (and always scans when the
-  // reference loop is active, which must not depend on the cache).
+  // function call. Debug builds check the cache against a fresh scan at
+  // every read.
   Cycles EarliestDeadline() const {
-    if (config_.fast_loop && earliest_valid_) {
+    if (earliest_valid_) {
+      assert(earliest_deadline_ == ScanEarliestDeadline());
       return earliest_deadline_;
     }
     return EarliestDeadlineSlow();
   }
-  Cycles EarliestDeadlineSlow() const;
+  Cycles EarliestDeadlineSlow() const;  // rescans and refills the cache
+  Cycles ScanEarliestDeadline() const;
 
-  // --- Timed-wait bookkeeping (fast loop, docs/performance.md) -------------
+  // --- Timed-wait bookkeeping (docs/performance.md) ------------------------
   // `timed_waiters_` counts threads in a timed wait (sleeping, or suspended
   // with a deadline); `earliest_deadline_` caches their minimum wake time so
   // the hot loop's expiry check is O(1) in the no-expiry common case. The
@@ -227,36 +222,17 @@ class Machine {
   void EnterTimedWait(Cycles wake_at);
   void LeaveTimedWait(Cycles wake_at);
 
-  // The core with the smallest clock (ties by lowest id), tracked
-  // incrementally for the per-instruction loop: only the picked core's
-  // clock advances within a loop iteration, so FixMinCoreAfterAdvance
-  // repairs the cached pick against the cached runner-up. That repair is
-  // exact with two cores; above two the runner-up is unknown and the next
-  // pick rescans. The block engine's rounds never consult the pick — they
-  // order cores by (clock, id) themselves and drop the cache on exit, so
-  // fused execution pays one rescan per RunTranslated call, not per op.
-  CoreId MinClockCore() {
-    if (min_core_valid_) {
-      return min_core_;
+  // The core with the smallest clock, ties by lowest id: one pass over the
+  // cores. The block engine's rounds order cores by (clock, id) themselves,
+  // so Run scans once per RunTranslated call, not per fused op.
+  CoreId MinClockCore() const {
+    CoreId min = 0;
+    for (CoreId i = 1; i < cores_.size(); ++i) {
+      if (cores_[i].clock < cores_[min].clock) {
+        min = i;
+      }
     }
-    return RescanMinCore();
-  }
-  CoreId RescanMinCore();
-  void FixMinCoreAfterAdvance(CoreId core) {
-    if (cores_.size() < 2 || !min_core_valid_ || core != min_core_) {
-      return;
-    }
-    const Core& a = cores_[core];
-    const Core& b = cores_[second_core_];
-    if (a.clock < b.clock || (a.clock == b.clock && core < second_core_)) {
-      return;  // still the lexicographic (clock, id) minimum
-    }
-    min_core_ = second_core_;
-    if (cores_.size() == 2) {
-      second_core_ = core;  // with two cores the other one is always runner-up
-    } else {
-      min_core_valid_ = false;  // the true runner-up is unknown; rescan lazily
-    }
+    return min;
   }
 
   // Assigns a thread to `core`, firing context-switch hooks.
@@ -298,20 +274,16 @@ class Machine {
   template <bool kSink>
   std::uint64_t RunFused(Cycles max_cycles, CoreId entry_core);
 
-  // Applies the semantics of `instr` for thread `t`. Returns the accesses
-  // performed (in program order) for watchpoint checking. `filter` (fast
-  // loop only) skips the old-value capture for accesses no armed watchpoint
-  // can match — old values are only ever consumed for the trapped access.
+  // Collects the accesses `instr` will perform for thread `t`, in program
+  // order, for watchpoint checking. `filter` skips the old-value capture for
+  // accesses no armed watchpoint can match — old values are only ever
+  // consumed for the trapped access.
   void CollectAccesses(const ThreadContext& t, const Instruction& instr,
                        std::vector<MemAccess>& out,
                        const DebugRegisterFile* filter = nullptr) const;
-  // `accesses` (fast loop only) points at the instruction's collected
-  // accesses so memory operands reuse the effective addresses computed by
-  // CollectAccesses; null recomputes them (reference loop, or nothing was
-  // collected). Hooks cannot change registers between collection and here,
-  // so reuse is exact.
+  // Applies the semantics of `instr` for thread `t`.
   void ApplySemantics(CoreId core, ThreadContext& t, const Instruction& instr,
-                      unsigned length, const MemAccess* accesses);
+                      unsigned length);
 
   void DoSyscall(CoreId core, ThreadContext& t, const Instruction& instr);
   void ExitThread(ThreadId tid, std::uint64_t status);
@@ -353,14 +325,11 @@ class Machine {
   // Scratch reused across ExecuteOne calls.
   std::vector<MemAccess> access_scratch_;
 
-  // --- Fast-loop caches (exact; see docs/performance.md) -------------------
+  // --- Scheduler caches (exact; see docs/performance.md) -------------------
   std::size_t live_count_ = 0;       // threads not yet kDone
   std::size_t timed_waiters_ = 0;    // threads in a timed wait
   mutable Cycles earliest_deadline_ = ~Cycles{0};
   mutable bool earliest_valid_ = true;
-  CoreId min_core_ = 0;              // cached min-clock core...
-  CoreId second_core_ = 0;           // ...and its runner-up
-  bool min_core_valid_ = false;
 
   // --- Block-translation state (exec/block_exec.cc) ------------------------
   // Per-core cursor into the translated op array, valid only within one

@@ -5,13 +5,14 @@
 //      targets and barrier instructions open blocks), barrier singletons,
 //      static-target resolution and PC mapping.
 //   2. Byte-identity: every corpus bug — the 11 single-variable and the 4
-//      multi-variable ones — simulates identically under the block engine,
-//      the per-instruction fast loop and the reference loop: full RunRecord
-//      JSON (modulo wall clock) plus the recorded ScheduleTrace.
+//      multi-variable ones — simulates identically under the block engine
+//      and the per-instruction loop, its oracle, in both usage modes: full
+//      RunRecord JSON (modulo wall clock) plus the recorded ScheduleTrace.
 //   3. End-to-end schedule tooling through the block engine: a guided-fuzz
-//      rediscovery produces a report byte-identical to the fast loop's, and
-//      `kivati annotate`-visible line attribution stays exact when the
-//      attributed program is executed under fusion (the PR 8 case).
+//      rediscovery produces a report byte-identical to the per-instruction
+//      loop's, and `kivati annotate`-visible line attribution stays exact
+//      when the attributed program is executed under fusion (the PR 8
+//      case).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -138,32 +139,24 @@ TEST(BlockTranslationTest, StaticTargetsResolveToBlockLeaders) {
 void ExpectEngineIdentity(exp::RunSpec spec) {
   spec.record_schedule = true;
 
-  spec.machine.fast_loop = true;
   spec.machine.block_translate = true;
   const exp::RunRecord block = exp::Execute(spec);
   spec.machine.block_translate = false;
   const exp::RunRecord fast = exp::Execute(spec);
-  spec.machine.fast_loop = false;
-  const exp::RunRecord reference = exp::Execute(spec);
 
   ASSERT_TRUE(block.error.empty()) << block.label << ": " << block.error;
   ASSERT_TRUE(fast.error.empty()) << fast.label << ": " << fast.error;
-  ASSERT_TRUE(reference.error.empty()) << reference.label << ": " << reference.error;
-
-  const std::string block_json = exp::ToJson(block, /*include_wall_clock=*/false);
-  EXPECT_EQ(block_json, exp::ToJson(fast, /*include_wall_clock=*/false)) << block.label;
-  EXPECT_EQ(block_json, exp::ToJson(reference, /*include_wall_clock=*/false))
+  EXPECT_EQ(exp::ToJson(block, /*include_wall_clock=*/false),
+            exp::ToJson(fast, /*include_wall_clock=*/false))
       << block.label;
-
   ASSERT_NE(block.schedule, nullptr);
   ASSERT_NE(fast.schedule, nullptr);
-  ASSERT_NE(reference.schedule, nullptr);
   EXPECT_EQ(block.schedule->decisions, fast.schedule->decisions) << block.label;
-  EXPECT_EQ(block.schedule->decisions, reference.schedule->decisions) << block.label;
   EXPECT_EQ(block.schedule->checkpoints, fast.schedule->checkpoints) << block.label;
-  EXPECT_EQ(block.schedule->checkpoints, reference.schedule->checkpoints) << block.label;
 }
 
+// The block engine against the per-instruction loop ("fast" in
+// bench-interp), which is the reference every engine change is held to.
 class CorpusIdentityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CorpusIdentityTest, BlockMatchesFastAndReference) {
@@ -172,8 +165,18 @@ TEST_P(CorpusIdentityTest, BlockMatchesFastAndReference) {
   spec.mode = KivatiMode::kBugFinding;
   spec.pause_ms = 50.0;
   spec.machine.seed = 17;
-  // Reduced budget, as in fast_loop_test: divergence shows within a few
-  // million cycles.
+  // Reduced budget: the default 300M-cycle budget is for bug-manifestation
+  // sweeps; divergence shows within a few million cycles.
+  spec.budget = 10'000'000;
+  ExpectEngineIdentity(spec);
+}
+
+// Prevention mode, where trapped accesses are undone and remote threads
+// suspended, at the default seed.
+TEST_P(CorpusIdentityTest, PreventionBlockMatchesPerInstruction) {
+  exp::RunSpec spec;
+  spec.bug = GetParam();
+  spec.mode = KivatiMode::kPrevention;
   spec.budget = 10'000'000;
   ExpectEngineIdentity(spec);
 }
@@ -200,7 +203,7 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, CorpusIdentityTest,
 
 // A guided-fuzz campaign — strategy generation, coverage dedup, shrinking,
 // replay verification — rediscovers a corpus bug through the block engine
-// and produces a report byte-identical to the fast loop's.
+// and produces a report byte-identical to the per-instruction loop's.
 TEST(BlockEngineFuzzTest, RediscoveryReportIsEngineInvariant) {
   auto fuzz_with = [](bool block_translate) {
     exp::RunSpec spec;
@@ -231,7 +234,8 @@ TEST(BlockEngineFuzzTest, RediscoveryReportIsEngineInvariant) {
 // The PR 8 line-attribution case (analysis_test's MergedRegionCitesFirstAccessLine
 // source, plus a driver loop) executed with block translation on: the AR
 // debug info the runtime reports against must keep citing first-access
-// lines, and the violation stream must be identical to the fast loop's.
+// lines, and the violation stream must be identical to the per-instruction
+// loop's.
 TEST(BlockEngineLineAttributionTest, Pr8CaseStaysExactUnderFusion) {
   const std::string source =
       "int g;\n"                  // 1

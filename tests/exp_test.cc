@@ -44,6 +44,12 @@ TEST(OptparseTest, ParseI64AndF64Strict) {
   EXPECT_DOUBLE_EQ(d, 2.5);
   EXPECT_FALSE(ParseF64("2.5x", &d));
   EXPECT_FALSE(ParseF64("", &d));
+  // strtod accepts these; no option takes a non-finite value, and NaN would
+  // slip past every range check.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_FALSE(ParseF64(text, &d)) << text;
+  }
+  EXPECT_DOUBLE_EQ(d, 2.5);
 }
 
 TEST(OptparseTest, ParseU64ListExpandsRanges) {

@@ -6,11 +6,13 @@
 // against); and under schedule controllers and access-level sinks, which
 // run fused (docs/performance.md, "Deopt triggers"): strict replay, loose
 // (shrunk) replay, guided PCT and bounded-preemption fuzzing, and the
-// happens-before oracle, at up to eight cores. Each case runs once with
-// block translation on and once off and must produce byte-identical
-// RunRecord JSON (modulo wall clock), the same ScheduleTrace and the same
-// access-event stream. At unit instruction cost the block side must
-// actually have run fused.
+// happens-before oracle, at up to eight cores. The workloads are corpus
+// bugs, registered apps and randomly generated mini-C programs
+// (tests/program_generator.h). Each case runs once with block translation
+// on and once on the per-instruction loop, the oracle, and must produce
+// byte-identical RunRecord JSON (modulo wall clock), the same
+// ScheduleTrace and the same access-event stream. At unit instruction
+// cost the block side must actually have run fused.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,10 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "apps/common.h"
 #include "exp/run_record.h"
 #include "exp/run_spec.h"
 #include "exp/runner.h"
 #include "sched/fuzz_strategy.h"
+#include "tests/program_generator.h"
 #include "trace/event_log.h"
 #include "trace/sink.h"
 
@@ -44,24 +48,30 @@ const char* ModeName(Mode mode) {
 }
 
 struct Case {
-  std::string workload;  // a corpus bug ("APP-ID") or a registered app
+  // A corpus bug ("APP-ID"), a registered app, or "gen<seed>" for a
+  // generated program (with `program_seed` set).
+  std::string workload;
   unsigned cores;
   Mode mode;
   TrapDelivery trap = TrapDelivery::kAfter;
   KivatiMode kivati = KivatiMode::kBugFinding;  // apps always run in prevention
   bool vanilla = false;
+  OptimizationPreset preset = OptimizationPreset::kOptimized;  // apps only
   Cycles quantum = MachineConfig{}.quantum;
   Cycles user_instruction = CostModel{}.user_instruction;
   unsigned watchpoints = MachineConfig{}.watchpoints_per_core;
+  std::uint64_t program_seed = 0;  // ProgramGenerator seed; 0 = not generated
 };
 
+// Registered apps and generated programs run in prevention mode under a
+// preset or vanilla; corpus bugs choose their usage mode.
 bool IsApp(const Case& c) { return c.workload.find('-') == std::string::npos; }
 
 // "MySQL-38883 c4 guided_pct", plus whatever departs from the defaults.
 void PrintTo(const Case& c, std::ostream* os) {
   *os << c.workload << " c" << c.cores << " " << ModeName(c.mode);
   if (IsApp(c)) {
-    *os << (c.vanilla ? " vanilla" : " optimized");
+    *os << " " << (c.vanilla ? "vanilla" : exp::ToString(c.preset));
   } else if (c.kivati == KivatiMode::kPrevention) {
     *os << " prevention";
   }
@@ -94,13 +104,21 @@ std::string CaseName(const Case& c) {
 
 exp::RunSpec BaseSpec(const Case& c) {
   exp::RunSpec spec;
-  if (IsApp(c)) {
+  if (c.program_seed != 0) {
+    // Three workers running one random program, as in property_test.
+    spec.prebuilt = std::make_shared<const apps::App>(apps::AssembleApp(
+        c.workload, testing::ProgramGenerator(c.program_seed).Generate(), "worker", 3));
+    spec.vanilla = c.vanilla;
+    spec.preset = c.preset;
+    spec.mode = KivatiMode::kPrevention;
+  } else if (IsApp(c)) {
     // Four workers, so eight cores leave idle ones: parked without hooks
     // (vanilla) and behind IdleSyncIsNoOp (optimized).
     spec.app = c.workload;
     spec.scale.workers = 4;
     spec.scale.iterations = 20;
     spec.vanilla = c.vanilla;
+    spec.preset = c.preset;
     spec.mode = KivatiMode::kPrevention;
   } else {
     spec.bug = c.workload;
@@ -292,11 +310,25 @@ std::vector<Case> AllCases() {
       }
     }
   }
+  // Vanilla, and both Table-3 presets: base takes a kernel crossing at
+  // every annotation, optimized adds the fast path and whitelists
+  // sync-variable regions.
   for (const char* app : {"nss", "vlc"}) {
     for (const unsigned cores : {1u, 2u, 3u, 4u, 8u}) {
+      cases.push_back({.workload = app, .cores = cores, .mode = Mode::kPlain, .vanilla = true});
+      for (const auto preset : {OptimizationPreset::kBase, OptimizationPreset::kOptimized}) {
+        cases.push_back(
+            {.workload = app, .cores = cores, .mode = Mode::kPlain, .preset = preset});
+      }
+    }
+  }
+  // Random mini-C programs: globals, arrays and a lock shared by three
+  // workers, with reads, writes and branches the corpus does not shape.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const unsigned cores : {1u, 2u, 4u, 8u}) {
       for (const bool vanilla : {true, false}) {
-        cases.push_back({.workload = app, .cores = cores, .mode = Mode::kPlain,
-                         .vanilla = vanilla});
+        cases.push_back({.workload = "gen" + std::to_string(seed), .cores = cores,
+                         .mode = Mode::kPlain, .vanilla = vanilla, .program_seed = seed});
       }
     }
   }

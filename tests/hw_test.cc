@@ -88,9 +88,10 @@ TEST(DebugRegistersTest, ArmedSummaryTracksSetAndClear) {
   EXPECT_FALSE(regs.MayMatch(0x1000, 8));
 }
 
-// MayMatch must never reject an access Match would trap on: the fast loop
-// uses it to skip old-value capture, which is only sound for accesses that
-// cannot trap.
+// MayMatch must never reject an access Match would trap on: the
+// per-instruction loop uses it to skip old-value capture, and the block
+// engine to keep ops fused, which is only sound for accesses that cannot
+// trap.
 TEST(DebugRegistersTest, MayMatchIsSupersetOfMatch) {
   DebugRegisterFile regs;
   regs.Set(0, 0x100, 4, WatchType::kWrite);

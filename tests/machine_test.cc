@@ -348,13 +348,13 @@ TEST(MachineTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// The optimized hot loop (fast_loop, the default) must simulate exactly the
-// run the reference loop produces: same virtual clock, same instruction
-// count, same memory. Random scheduling over spawns, sleeps, and every
-// memory-operand opcode stresses the scheduler caches and the watchpoint
-// fast filter (docs/performance.md).
-TEST(MachineTest, FastLoopMatchesReferenceLoop) {
-  auto run_once = [](bool fast, std::uint64_t seed) {
+// The block engine (block_translate, the default) must simulate exactly the
+// run the per-instruction loop produces: same virtual clock, same
+// instruction count, same memory. Random scheduling over spawns, sleeps,
+// and every memory-operand opcode stresses the round executor's stop
+// points and the scheduler caches (docs/performance.md).
+TEST(MachineTest, BlockEngineMatchesPerInstructionLoop) {
+  auto run_once = [](bool block_translate, std::uint64_t seed) {
     ProgramBuilder b;
     b.BeginFunction("main");
     b.LoadFunctionAddress(0, "w");
@@ -383,7 +383,7 @@ TEST(MachineTest, FastLoopMatchesReferenceLoop) {
 
     MachineConfig config = testing::DualCoreConfig(seed);
     config.policy = SchedPolicy::kRandom;
-    config.fast_loop = fast;
+    config.block_translate = block_translate;
     Machine m(b.Build(), config);
     m.SpawnThreadByName("main", 0);
     const RunResult result = m.Run();

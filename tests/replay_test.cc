@@ -91,9 +91,9 @@ INSTANTIATE_TEST_SUITE_P(AllCorpusBugs, CorpusReplayTest,
 
 // Block-translated execution must not change schedule semantics. Recording
 // through the block engine (block_translate defaults on) must produce a
-// ScheduleTrace byte-identical to the fast loop's, and strict replay — which
-// runs fused too, since the controller is consulted only at decisions the
-// fused loop hands back for — must reproduce the run exactly.
+// ScheduleTrace byte-identical to the per-instruction loop's, and strict
+// replay — which runs fused too, since the controller is consulted only at
+// decisions the fused loop hands back for — must reproduce the run exactly.
 TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
   const exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
 
@@ -123,8 +123,8 @@ TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
 // An access-level TraceSink subscribing *mid-run* is picked up at the block
 // engine's next entry: every committed shared read/write after the
 // subscription point is observed, the run's outcome is unchanged relative
-// to the fast loop doing the same dance, and the engine keeps fusing the ops
-// that touch no shared data.
+// to the per-instruction loop doing the same dance, and the engine keeps
+// fusing the ops that touch no shared data.
 TEST(BlockEngineScheduleTest, MidRunAccessSinkSubscriptionStaysFused) {
   struct AccessSink : TraceSink {
     std::vector<std::string> events;
@@ -271,6 +271,11 @@ TEST(ReproArtifactTest, RejectsMalformedJson) {
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("workers", "0")), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("iterations", "100000001")),
                std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("quantum", "0")), std::runtime_error);
+  // Pause lengths the CLI's --pause-ms refuses (kMaxPauseMs).
+  EXPECT_NO_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "0")));
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "-1")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "1e300")), std::runtime_error);
 }
 
 TEST(ShrinkTest, ShrinksNssBugToReproducingSubset) {

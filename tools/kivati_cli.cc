@@ -43,8 +43,9 @@
 //                                   docs/detectors.md)
 //   kivati bench-interp [options]   interpreter throughput benchmark:
 //                                   simulated Mcycles/s per app × config,
-//                                   block, fast and reference engines side
-//                                   by side (docs/performance.md; feeds
+//                                   the block engine and the
+//                                   per-instruction loop side by side
+//                                   (docs/performance.md; feeds
 //                                   BENCH_interp.json and CI's perf-smoke)
 //
 // Options for run/train:
@@ -69,16 +70,12 @@
 //   --no-correlate                  skip correlated-variable inference and
 //                                   multi-variable region fusion
 //                                   (docs/correlation.md)
-//   --no-fast-loop                  use the reference interpreter loop
-//                                   instead of the optimized one; the run
-//                                   must be byte-identical either way
-//                                   (docs/performance.md)
-//   --no-block-translate            keep the optimized loop but disable
-//                                   basic-block translation (fused
+//   --no-block-translate            disable basic-block translation (fused
 //                                   superinstructions with hoisted
-//                                   watchpoint checks); escape hatch for
-//                                   the default engine, byte-identical
-//                                   either way (docs/performance.md)
+//                                   watchpoint checks) and run the
+//                                   per-instruction loop, the oracle the
+//                                   default engine must match byte for
+//                                   byte (docs/performance.md)
 //   --verbose                       print every violation record
 //   --hb                            (run) attach the happens-before/lockset
 //                                   oracle to the same execution and report
@@ -156,9 +153,9 @@
 //                                   vanilla,base,optimized)
 //   --repeats N                     timed repeats per cell after one
 //                                   untimed warmup, median wins (default 3)
-//   --block-only / --fast-only / --reference-only
-//                                   measure just one engine (default: all
-//                                   three — block, fast, reference)
+//   --block-only / --fast-only      measure just one engine (default:
+//                                   both — block, and fast, the
+//                                   per-instruction loop it must match)
 //   --cores N[,N...]                simulated core counts, one row per
 //                                   count as with sweep (default 2)
 //   --seed/--watchpoints/--max-cycles/--app-workers/
@@ -254,9 +251,7 @@ struct CliOptions {
   int app_workers = 4;
   int app_iterations = 250;
 
-  // run/train/sweep/bench-interp: select the reference interpreter loop.
-  bool no_fast_loop = false;
-  // run/train/sweep/bench-interp: optimized loop without block translation.
+  // run/train/sweep/fuzz: the per-instruction loop without block translation.
   bool no_block_translate = false;
 
   // bench-interp.
@@ -264,7 +259,6 @@ struct CliOptions {
   unsigned repeats = 3;
   bool block_only = false;
   bool fast_only = false;
-  bool reference_only = false;
 };
 
 [[noreturn]] void Fail(const std::string& message) {
@@ -365,11 +359,10 @@ void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
     return std::string();
   });
   table.String("--whitelist", &options.whitelist_path, "load AR whitelist from FILE");
-  table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0, 1e9);
-  table.Flag("--no-fast-loop", &options.no_fast_loop,
-             "use the reference interpreter loop (must be byte-identical)");
+  table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0,
+               exp::kMaxPauseMs);
   table.Flag("--no-block-translate", &options.no_block_translate,
-             "disable basic-block translation in the optimized loop "
+             "run the per-instruction loop without basic-block translation "
              "(must be byte-identical)");
   AddAnnotatorOptions(table, options);
 }
@@ -725,7 +718,6 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
             exp::kMaxAppIterations);
   table.Flag("--block-only", &options.block_only, "measure only the block engine");
   table.Flag("--fast-only", &options.fast_only, "measure only the optimized loop");
-  table.Flag("--reference-only", &options.reference_only, "measure only the reference loop");
   table.String("--json", &options.json_path, "machine-readable report ('-' = stdout)");
   return table;
 }
@@ -822,7 +814,6 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
   spec.machine.num_cores = options.cores;
   spec.machine.watchpoints_per_core = options.watchpoints;
   spec.machine.seed = options.seed;
-  spec.machine.fast_loop = !options.no_fast_loop;
   spec.machine.block_translate = !options.no_block_translate;
   spec.vanilla = options.vanilla;
   spec.preset = options.preset;
@@ -1291,10 +1282,8 @@ int FuzzCommand(const CliOptions& options) {
 }
 
 int BenchInterp(const CliOptions& options) {
-  if (static_cast<int>(options.block_only) + static_cast<int>(options.fast_only) +
-          static_cast<int>(options.reference_only) >
-      1) {
-    Fail("bench-interp takes at most one of --block-only / --fast-only / --reference-only");
+  if (options.block_only && options.fast_only) {
+    Fail("bench-interp takes at most one of --block-only / --fast-only");
   }
   exp::InterpBenchSpec spec;
   spec.apps = options.apps.empty() ? std::vector<std::string>{"nss", "vlc"} : options.apps;
@@ -1310,9 +1299,8 @@ int BenchInterp(const CliOptions& options) {
   spec.scale.annotator = options.annotator;
   spec.scale.prune = !options.no_prune;
   spec.scale.correlate = !options.no_correlate;
-  spec.include_block = !options.fast_only && !options.reference_only;
-  spec.include_fast = !options.block_only && !options.reference_only;
-  spec.include_reference = !options.block_only && !options.fast_only;
+  spec.include_block = !options.fast_only;
+  spec.include_fast = !options.block_only;
 
   // Progress (and the human table) on stderr when stdout carries the JSON.
   FILE* human = options.json_path == "-" ? stderr : stdout;
@@ -1384,7 +1372,6 @@ int Sweep(const CliOptions& options) {
   grid.base.scale.annotator = options.annotator;
   grid.base.scale.prune = !options.no_prune;
   grid.base.scale.correlate = !options.no_correlate;
-  grid.base.machine.fast_loop = !options.no_fast_loop;
   grid.base.machine.block_translate = !options.no_block_translate;
   grid.base.pause_ms = options.pause_ms;
   grid.base.whitelist_path = options.whitelist_path;

@@ -8,12 +8,13 @@
 # median wall time — best-of-N rewarded lucky outliers and made this gate
 # flaky. A row fails when it drops below THRESHOLD (default 0.7) of the
 # committed number; absolute throughput varies across runners, hence the
-# wide margin. Block-engine rows are gated like the rest, so a regression
-# in basic-block translation (or a silent deopt to the fast loop) surfaces
-# in CI even while the fast/reference rows stay green. The 4- and 8-core
-# rows run the block engine only (the per-instruction engines would take
-# most of the job's time there): a fall-back to per-op scheduling above two
-# cores fails their gate.
+# wide margin. The two engines are the block engine and the per-instruction
+# loop ("fast", --no-block-translate), the oracle it must match. Block rows
+# are gated like the rest, so a regression in basic-block translation (or a
+# silent deopt to the per-instruction loop) surfaces in CI even while the
+# fast rows stay green. The 4- and 8-core rows run the block engine only
+# (the per-instruction loop would take most of the job's time there): a
+# fall-back to per-op scheduling above two cores fails their gate.
 #
 #   sh tools/perf_smoke.sh check    # compare against BENCH_interp.json
 #   sh tools/perf_smoke.sh update   # regenerate the baseline (Release build)
@@ -30,9 +31,9 @@ WIDE="--apps nss,vlc --configs vanilla,optimized --cores 4,8 --block-only --repe
 # Runs both grids and writes one report to $1.
 bench() {
   parts=$(mktemp -d)
-  # All three engines at two cores: the bench cross-checks their simulated
-  # outcomes for byte-identity, so this run doubles as an
-  # engine-equivalence smoke.
+  # Both engines at two cores: the bench cross-checks their simulated
+  # outcomes for identity, so this run doubles as an engine-equivalence
+  # smoke.
   # shellcheck disable=SC2086  # GRID and WIDE are flag lists on purpose
   "$KIVATI" bench-interp $GRID --json "$parts/c2.json"
   # shellcheck disable=SC2086
