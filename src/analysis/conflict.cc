@@ -341,36 +341,6 @@ class Analyzer {
 
 const char* AccessLetter(AccessType type) { return type == AccessType::kRead ? "R" : "W"; }
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* ToString(ArVerdict verdict) {
@@ -478,16 +448,16 @@ std::string ConflictReportJson(const ConflictReport& report,
     const ArConflict& ar = report.ars[i];
     const ArDebugInfo& info = infos[i];
     out += "{\"id\":" + std::to_string(ar.id);
-    out += ",\"function\":\"" + EscapeJson(info.function) + "\"";
-    out += ",\"variable\":\"" + EscapeJson(info.variable) + "\"";
+    out += ",\"function\":\"" + report::EscapeJson(info.function) + "\"";
+    out += ",\"variable\":\"" + report::EscapeJson(info.variable) + "\"";
     out += ",\"line\":" + std::to_string(info.line);
     out += ",\"verdict\":\"";
     out += ToString(ar.verdict);
-    out += "\",\"case\":\"" + EscapeJson(ar.pair_case) + "\"";
+    out += "\",\"case\":\"" + report::EscapeJson(ar.pair_case) + "\"";
     out += ",\"pruned\":";
     out += report.pruned.contains(ar.id) ? "true" : "false";
     if (!ar.lock.empty()) {
-      out += ",\"lock\":\"" + EscapeJson(ar.lock) + "\"";
+      out += ",\"lock\":\"" + report::EscapeJson(ar.lock) + "\"";
     }
     if (!ar.remote_sites.empty()) {
       out += ",\"remote_sites\":[";
@@ -496,7 +466,7 @@ std::string ConflictReportJson(const ConflictReport& report,
         if (s != 0) {
           out += ",";
         }
-        out += "{\"function\":\"" + EscapeJson(site.function) + "\"";
+        out += "{\"function\":\"" + report::EscapeJson(site.function) + "\"";
         out += ",\"line\":" + std::to_string(site.line);
         out += ",\"type\":\"";
         out += AccessLetter(site.type);

@@ -8,6 +8,7 @@
 
 #include "analysis/lockset.h"
 #include "analysis/lsv.h"
+#include "common/report_envelope.h"
 
 namespace kivati {
 namespace {
@@ -111,17 +112,6 @@ class UnionFind {
 };
 
 const char* TypeChar(AccessType type) { return type == AccessType::kRead ? "R" : "W"; }
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -515,20 +505,21 @@ std::string FormatCorrelationReport(const CorrelationReport& report) {
 
 std::string CorrelationReportJson(const CorrelationReport& report) {
   const auto pair_json = [&](const CorrelatedPair& pair) {
-    std::string out = "{\"a\":\"" + JsonEscape(pair.a_name) + "\",\"b\":\"" +
-                      JsonEscape(pair.b_name) + "\",\"support\":" + std::to_string(pair.support);
+    std::string out = "{\"a\":\"" + report::EscapeJson(pair.a_name) + "\",\"b\":\"" +
+                      report::EscapeJson(pair.b_name) +
+                      "\",\"support\":" + std::to_string(pair.support);
     if (pair.pruned != PairPruneReason::kNone) {
       out += ",\"pruned\":\"" + std::string(ToString(pair.pruned)) + "\"";
       if (!pair.lock.empty()) {
-        out += ",\"lock\":\"" + JsonEscape(pair.lock) + "\"";
+        out += ",\"lock\":\"" + report::EscapeJson(pair.lock) + "\"";
       }
     }
     out += ",\"sites\":[";
     for (std::size_t i = 0; i < pair.sites.size(); ++i) {
       const CoAccessSite& site = pair.sites[i];
-      out += std::string(i > 0 ? "," : "") + "{\"function\":\"" + JsonEscape(site.function) +
-             "\",\"line\":" + std::to_string(site.line) + ",\"types\":\"" +
-             TypeChar(site.a_type) + TypeChar(site.b_type) + "\"}";
+      out += std::string(i > 0 ? "," : "") + "{\"function\":\"" +
+             report::EscapeJson(site.function) + "\",\"line\":" + std::to_string(site.line) +
+             ",\"types\":\"" + TypeChar(site.a_type) + TypeChar(site.b_type) + "\"}";
     }
     out += "]}";
     return out;
@@ -542,7 +533,7 @@ std::string CorrelationReportJson(const CorrelationReport& report) {
     const CorrelatedSet& set = report.sets[s];
     out += std::string(s > 0 ? "," : "") + "{\"id\":" + std::to_string(set.id) + ",\"members\":[";
     for (std::size_t i = 0; i < set.member_names.size(); ++i) {
-      out += std::string(i > 0 ? "," : "") + "\"" + JsonEscape(set.member_names[i]) + "\"";
+      out += std::string(i > 0 ? "," : "") + "\"" + report::EscapeJson(set.member_names[i]) + "\"";
     }
     out += "],\"support\":" + std::to_string(set.support) +
            ",\"fused_ars\":" + std::to_string(set.fused_ars) +

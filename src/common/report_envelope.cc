@@ -88,6 +88,36 @@ std::string EnvelopePrefix(const Envelope& envelope) {
   return "{\"kind\":\"" + envelope.kind + buf;
 }
 
+std::string EscapeJson(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 bool LooksLikeEnvelope(const std::string& text, Envelope* out) {
   std::size_t i = 0;
   if (!Consume(text, i, '{')) {

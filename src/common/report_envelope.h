@@ -26,6 +26,11 @@ struct Envelope {
 // Emitters append their payload fields and the closing brace.
 std::string EnvelopePrefix(const Envelope& envelope);
 
+// Escapes `text` for the inside of a JSON string literal: quote, backslash,
+// newline and tab by name, every other control character as \u00XX. Every
+// report writes its strings through it.
+std::string EscapeJson(const std::string& text);
+
 // Checks that `text` is one JSON object document conforming to the
 // envelope: begins with '{', its first key is "kind" with a
 // "kivati_"-prefixed string value, its second key is "schema_version" with

@@ -4,16 +4,16 @@
 // Byte-identity with the generic loop is the design constraint: racy
 // shared-memory values and ScheduleTrace instruction stamps depend on the
 // *global* interleaving, so fused execution must reproduce Run's
-// discrete-event (clock, id) pick exactly. It can do so in bulk because,
-// at unit instruction cost and between kernel entries, that pick is a
-// fixed pattern: at cycle R, every core whose clock is R acts once, in id
-// order, and moves to R + 1. The executor therefore runs *rounds* over
-// predecoded ops under one static stop point — the first (clock, id) pick
-// at which a quantum expires, the cycle cap or a timer deadline is reached,
-// or a core must leave fused code — and hoists the per-instruction
-// overhead: the pick itself, the PC->index lookup, the fat Instruction
-// load, the access-list build, the trap Match scans, the trace/event mask
-// tests and the per-op accounting.
+// discrete-event (clock, id) pick exactly. It can do so in bulk because
+// every user instruction costs one cycle, so between kernel entries that
+// pick is a fixed pattern: at cycle R, every core whose clock is R acts
+// once, in id order, and moves to R + 1. The executor therefore runs
+// *rounds* over predecoded ops under one static stop point — the first
+// (clock, id) pick at which a quantum expires, the cycle cap or a timer
+// deadline is reached, or a core must leave fused code — and hoists the
+// per-instruction overhead: the pick itself, the PC->index lookup, the
+// fat Instruction load, the access-list build, the trap Match scans, the
+// trace/event mask tests and the per-op accounting.
 //
 // Idle cores are *parked* while the ready queue is empty and their
 // idle-loop sync is a proven no-op (no hooks, or IdleSyncIsNoOp): each
@@ -32,10 +32,12 @@
 // whose sync is a real one is stepped here, and the rounds are re-derived.
 // Schedule controllers need no deopt: they are consulted only in
 // PopRunnable, at quantum preemptions and at begin_atomic, all reached
-// outside fused ops with the instruction count flushed. Run decides the
-// two whole-run deopts, address tracing and a non-unit instruction cost;
-// the sink mask is re-read on every entry because sinks may subscribe
-// between Run calls.
+// outside fused ops with the instruction count flushed. Nothing deopts a
+// whole run: every user instruction costs kUserInstructionCycles, and the
+// sink mask is re-read on every entry because sinks may subscribe between
+// Run calls. Run enters only at a pick that needed no Reschedule, which is the
+// lowest (clock, id) and hence the rounds' first turn; after a Reschedule
+// the committed op runs in ExecuteOne.
 #include <algorithm>
 
 #include "sched/machine.h"
@@ -86,8 +88,7 @@ bool MustLeave(const exec::TransOp& op, const ThreadContext& t, const DebugRegis
 
 // Executes one fused op (anything but kBarrier) and returns the cursor of
 // the next op — kNoOp when a dynamic target (indirect call, return) has no
-// translation, in which case the caller re-derives state from the PC. Shared
-// by the entry op and the rounds so the semantics exist exactly once. Forced
+// translation, in which case the caller re-derives state from the PC. Forced
 // inline: the rounds' speed depends on this switch sitting in their body,
 // and GCC's size heuristics otherwise emit it as a call.
 [[gnu::always_inline]] inline std::uint32_t ExecFusedOp(const exec::TransOp* ops,
@@ -269,62 +270,22 @@ bool MustLeave(const exec::TransOp& op, const ThreadContext& t, const DebugRegis
 
 }  // namespace
 
-std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
+std::uint64_t Machine::RunTranslated(Cycles max_cycles) {
   // Access-level sinks (the HB oracle, --trace-events=access) see only
   // shared-data accesses, so only ops with one leave for ExecuteOne; stack
   // traffic and register ops stay fused. The loop is instantiated per case
   // so runs without a sink carry no per-op sink test.
-  return (trace_.hub().mask() & kAccessEventKinds) != 0 ? RunFused<true>(max_cycles, entry_core)
-                                                        : RunFused<false>(max_cycles, entry_core);
+  return (trace_.hub().mask() & kAccessEventKinds) != 0 ? RunFused<true>(max_cycles)
+                                                        : RunFused<false>(max_cycles);
 }
 
 template <bool kSink>
-std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
+std::uint64_t Machine::RunFused(Cycles max_cycles) {
   const exec::BlockTranslation& trans = image_->blocks;
   const exec::TransOp* const ops = trans.ops();
   constexpr std::uint32_t kNoOp = exec::BlockTranslation::kNoOp;
-  block_cursors_.assign(cores_.size(), kNoOp);
 
-  // Run has already committed to one instruction of `entry_core`'s thread:
-  // the pick, the timer wake and the cycle-cap check all happened *before*
-  // its Reschedule charged any context-switch cost, and ExecuteOne would
-  // run without re-deriving anything — even if that charge pushed this
-  // core's clock past another's. Execute exactly that one op here (or hand
-  // the whole call back for the generic path); the rounds below re-derive
-  // the (clock, id) order from scratch.
-  {
-    Core& c = cores_[entry_core];
-    if (c.current == kInvalidThread) {
-      return 0;
-    }
-    ThreadContext& t = *threads_[c.current];
-    if (t.state != ThreadState::kRunnable || c.quantum_left == 0) {
-      return 0;
-    }
-    const std::uint32_t cur = trans.OpIndexOfPc(t.pc);
-    if (cur == kNoOp) {
-      return 0;  // thread-exit PC or invalid PC: generic handling
-    }
-    const exec::TransOp& op = ops[cur];
-    if (op.kind == exec::FusedKind::kBarrier) {
-      return 0;
-    }
-    // The per-op exit test of the rounds below.
-    if ((kSink || (hooks_ != nullptr && c.debug_regs.any_armed())) &&
-        MustLeave<kSink>(op, t, c.debug_regs)) {
-      return 0;
-    }
-    now_ = c.clock;
-    executing_core_ = entry_core;
-    block_cursors_[entry_core] = ExecFusedOp(ops, cur, t, memory_, trans);
-    ++c.clock;
-    ++t.cpu_cycles;
-    --c.quantum_left;
-    ++t.instructions;
-    ++instructions_executed_;
-  }
-
-  std::uint64_t steps = 1;
+  std::uint64_t steps = 0;
   while (live_count_ != 0) {
     // The stop point: the first (clock, id) pick the rounds must leave to
     // the generic loop. The cycle cap and the earliest timer deadline stop a
@@ -362,10 +323,7 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
       }
       busy_min = std::min(busy_min, c.clock);
       ThreadContext& t = *threads_[c.current];
-      std::uint32_t cur = block_cursors_[k];
-      if (cur == kNoOp) {
-        cur = trans.OpIndexOfPc(t.pc);
-      }
+      const std::uint32_t cur = trans.OpIndexOfPc(t.pc);
       if (t.state != ThreadState::kRunnable || c.quantum_left == 0 || cur == kNoOp) {
         stop_at(c.clock, k, false);  // blocked, preempted or untranslated: outer loop
         continue;
@@ -481,7 +439,6 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     for (const RoundLane& l : lanes_) {
       Core& c = cores_[l.core];
       const Cycles done = l.next - c.clock;
-      block_cursors_[l.core] = l.cursor;
       if (done == 0) {
         continue;
       }
@@ -525,7 +482,6 @@ std::uint64_t Machine::RunFused(Cycles max_cycles, CoreId entry_core) {
     if (IdleCoreStep(stop_core) == IdleOutcome::kDeadlock) {
       return steps;  // no state was changed; the outer loop re-derives it
     }
-    block_cursors_[stop_core] = kNoOp;
   }
   return steps;
 }

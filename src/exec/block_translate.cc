@@ -63,6 +63,13 @@ bool IsControlTransfer(FusedKind kind) {
   }
 }
 
+// Whether executing an op of this kind always moves the PC away from the
+// next sequential instruction.
+bool AlwaysTransfers(FusedKind kind) {
+  return kind == FusedKind::kJmp || kind == FusedKind::kCall || kind == FusedKind::kCallInd ||
+         kind == FusedKind::kRet;
+}
+
 bool HasStaticTarget(FusedKind kind) {
   return kind == FusedKind::kJmp || kind == FusedKind::kBnz || kind == FusedKind::kBz ||
          kind == FusedKind::kCall;
@@ -109,6 +116,14 @@ BlockTranslation::BlockTranslation(const Program& program) {
         break;
     }
     pc_to_op_[static_cast<std::size_t>(program.PcOf(i))] = static_cast<std::uint32_t>(i);
+  }
+  // The executor steps a sequential op to the next op index, so a last
+  // instruction that can fall through would send it past the op array. Such
+  // an instruction (only hand-built programs end with one; codegen ends
+  // every function with ret) becomes a barrier: the generic loop runs it
+  // and meets the invalid PC after it, as without translation.
+  if (n > 0 && !AlwaysTransfers(ops_[n - 1].kind)) {
+    ops_[n - 1].kind = FusedKind::kBarrier;
   }
 
   // Leader analysis: block boundaries fall at function entries, static

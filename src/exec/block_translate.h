@@ -32,7 +32,8 @@ namespace exec {
 // never executes itself — syscalls, annotations (kABegin/kAEnd/kAClear),
 // kHalt and kRepMovs — because they enter the kernel, fire hooks, or need
 // the full access-list machinery; the engine bails out and the generic loop
-// executes them. Barriers always form singleton blocks.
+// executes them. A last instruction that can fall through past the end of
+// the text is a barrier too. Barriers always form singleton blocks.
 enum class FusedKind : std::uint8_t {
   kBarrier,
   kNop,

@@ -127,36 +127,6 @@ std::string DedupKey(const ReproTarget& target) {
 // JSON (run_record.cc conventions).
 // ---------------------------------------------------------------------------
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
   out += "\"";
   out += key;
@@ -192,7 +162,7 @@ void Append(std::string& out, const char* key, const std::string& value, bool co
   out += "\"";
   out += key;
   out += "\":\"";
-  out += EscapeJson(value);
+  out += report::EscapeJson(value);
   out += "\"";
   if (comma) {
     out += ",";
@@ -434,7 +404,7 @@ std::string FuzzReportJson(const FuzzReport& report, bool include_wall_clock) {
     if (i != 0) {
       out += ",";
     }
-    out += "\"" + EscapeJson(report.errors[i]) + "\"";
+    out += "\"" + report::EscapeJson(report.errors[i]) + "\"";
   }
   out += "],\"discoveries\":[\n";
   for (std::size_t i = 0; i < report.discoveries.size(); ++i) {

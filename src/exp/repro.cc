@@ -19,36 +19,6 @@ namespace {
 // Writing. Reuses the run_record.cc conventions (compact, snprintf-based).
 // ---------------------------------------------------------------------------
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
   out += "\"";
   out += key;
@@ -84,7 +54,7 @@ void Append(std::string& out, const char* key, const std::string& value, bool co
   out += "\"";
   out += key;
   out += "\":\"";
-  out += EscapeJson(value);
+  out += report::EscapeJson(value);
   out += "\"";
   if (comma) {
     out += ",";
@@ -112,7 +82,7 @@ std::string SpecJson(const RunSpec& spec) {
       if (i != 0) {
         out += ",";
       }
-      out += "[\"" + EscapeJson(spec.threads[i].first) + "\"," +
+      out += "[\"" + report::EscapeJson(spec.threads[i].first) + "\"," +
              std::to_string(spec.threads[i].second) + "]";
     }
     out += "],";

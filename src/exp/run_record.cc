@@ -30,41 +30,11 @@ void Append(std::string& out, const char* key, bool value, bool comma = true) {
   }
 }
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
   out += "\"";
   out += key;
   out += "\":\"";
-  out += EscapeJson(value);
+  out += report::EscapeJson(value);
   out += "\"";
   if (comma) {
     out += ",";

@@ -449,25 +449,17 @@ PathTaken KivatiKernel::EndAtomicImpl(ThreadId tid, ArId ar_id, AccessType secon
                                       bool from_clear) {
   // Violations whose AR was torn down by a suspension timeout are still
   // evaluated when the end_atomic eventually executes, flagged unprevented.
-  const std::uint64_t key = Key(tid, ar_id);
-  if (!from_clear) {
-    auto pending = pending_unprevented_.find(key);
-    if (pending != pending_unprevented_.end()) {
-      const ArInstance& info = pending_ar_info_.at(key);
-      for (const TriggerRecord& trigger : pending->second) {
-        if (ArNonSerializable(info, trigger.type, second)) {
-          LogViolation(info, pending_addr_.at(key).first, pending_addr_.at(key).second, trigger,
-                       second, machine_.current_instruction_pc());
+  const auto pending = pending_ars_.find(Key(tid, ar_id));
+  if (pending != pending_ars_.end()) {
+    const PendingAr& p = pending->second;
+    if (!from_clear) {
+      for (const TriggerRecord& trigger : p.triggers) {
+        if (ArNonSerializable(p.ar, trigger.type, second)) {
+          LogViolation(p.ar, p.addr, p.size, trigger, second, machine_.current_instruction_pc());
         }
       }
-      pending_unprevented_.erase(key);
-      pending_ar_info_.erase(key);
-      pending_addr_.erase(key);
     }
-  } else {
-    pending_unprevented_.erase(key);
-    pending_ar_info_.erase(key);
-    pending_addr_.erase(key);
+    pending_ars_.erase(pending);
   }
 
   // Locate the AR.
@@ -551,19 +543,11 @@ PathTaken KivatiKernel::ClearAr(ThreadId tid, std::uint32_t depth) {
     }
   }
   // Drop timed-out-AR residue from frames exiting without their end_atomic.
-  std::vector<std::uint64_t> stale_keys;
-  for (const auto& [key, info] : pending_ar_info_) {
-    if (info.owner == tid && info.depth == depth) {
-      stale_keys.push_back(key);
-    }
-  }
-  for (const std::uint64_t key : stale_keys) {
-    pending_unprevented_.erase(key);
-    pending_ar_info_.erase(key);
-    pending_addr_.erase(key);
-  }
+  const std::size_t stale = std::erase_if(pending_ars_, [&](const auto& entry) {
+    return entry.second.ar.owner == tid && entry.second.ar.depth == depth;
+  });
   if (to_clear.empty()) {
-    return stale_keys.empty() ? PathTaken::kUserFast : PathTaken::kKernel;
+    return stale == 0 ? PathTaken::kUserFast : PathTaken::kKernel;
   }
   PathTaken path = PathTaken::kUserFast;
   for (const ArId ar : to_clear) {
@@ -940,14 +924,11 @@ void KivatiKernel::HandleSuspensionTimeout(ThreadId tid) {
     // triggers are kept so the eventual end_atomic can still report the
     // violation, flagged as not prevented (§2.2).
     for (const ArInstance& ar : wp.ars) {
-      const std::uint64_t key = Key(ar.owner, ar.id);
-      std::vector<TriggerRecord> triggers = wp.triggers;
-      for (TriggerRecord& t : triggers) {
+      PendingAr pending{.ar = ar, .addr = wp.addr, .size = wp.size, .triggers = wp.triggers};
+      for (TriggerRecord& t : pending.triggers) {
         t.prevented = false;
       }
-      pending_unprevented_[key] = std::move(triggers);
-      pending_ar_info_[key] = ar;
-      pending_addr_[key] = {wp.addr, wp.size};
+      pending_ars_[Key(ar.owner, ar.id)] = std::move(pending);
       RemoveArFromThreadTable(ar.owner, ar.id);
     }
     wp.ars.clear();
@@ -989,17 +970,7 @@ void KivatiKernel::HandleThreadExit(ThreadId tid) {
   paused_threads_.erase(tid);
   timeout_immune_.erase(tid);
   retry_anchor_.erase(tid);
-  std::vector<std::uint64_t> stale;
-  for (const auto& [key, info] : pending_ar_info_) {
-    if (info.owner == tid) {
-      stale.push_back(key);
-    }
-  }
-  for (const std::uint64_t key : stale) {
-    pending_unprevented_.erase(key);
-    pending_ar_info_.erase(key);
-    pending_addr_.erase(key);
-  }
+  std::erase_if(pending_ars_, [&](const auto& entry) { return entry.second.ar.owner == tid; });
 }
 
 void KivatiKernel::RemoveArFromThreadTable(ThreadId owner, ArId ar) {

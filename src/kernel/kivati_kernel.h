@@ -269,12 +269,17 @@ class KivatiKernel {
   std::vector<WatchpointMeta> wps_;
   std::unordered_map<ThreadId, std::vector<ThreadAr>> thread_ars_;
 
-  // Triggers of ARs that were torn down by a timeout before their
-  // end_atomic executed; the violation is still evaluated (and reported as
-  // not prevented) when the end_atomic arrives. Keyed by owner and AR id.
-  std::unordered_map<std::uint64_t, std::vector<TriggerRecord>> pending_unprevented_;
-  std::unordered_map<std::uint64_t, ArInstance> pending_ar_info_;
-  std::unordered_map<std::uint64_t, std::pair<Addr, unsigned>> pending_addr_;
+  // An AR torn down by a timeout before its end_atomic executed, with its
+  // watched range and triggers: the violation is still evaluated (and
+  // reported as not prevented) when the end_atomic arrives.
+  struct PendingAr {
+    ArInstance ar;
+    Addr addr = 0;
+    unsigned size = 0;
+    std::vector<TriggerRecord> triggers;
+  };
+  // Keyed by owner and AR id (Key).
+  std::unordered_map<std::uint64_t, PendingAr> pending_ars_;
 
   Rng pause_rng_;
   // Threads currently inside a bug-finding pause.

@@ -13,9 +13,12 @@
 
 namespace kivati {
 
+// Every user-mode instruction costs one cycle. The block engine's rounds
+// (exec/block_exec.cc) rely on it: between kernel entries, every core whose
+// clock is R acts once at cycle R, in id order.
+inline constexpr Cycles kUserInstructionCycles = 1;
+
 struct CostModel {
-  // One simple user-mode instruction.
-  Cycles user_instruction = 1;
   // Round trip into the kernel and back (syscall or annotation slow path).
   Cycles kernel_crossing = 120;
   // Extra handling cost of a watchpoint trap (on top of the crossing).

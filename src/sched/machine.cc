@@ -289,18 +289,6 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
 
 RunResult Machine::Run(Cycles max_cycles) {
   RunResult result;
-  // Block-translated execution needs the unit instruction cost its rounds
-  // assume (no caller sets another; any other cost runs per instruction).
-  // Address tracing is the other whole-run deopt: it inspects every
-  // instruction's access list. A ScheduleController, recording or not, is
-  // consulted only in PopRunnable, at quantum preemptions and at
-  // begin_atomic; RunTranslated hands control back before each with
-  // instructions_executed_ flushed, so no decision, checkpoint or
-  // instruction stamp moves. Access-level sinks cost a per-op bail inside
-  // RunTranslated instead (re-read per entry, since they may subscribe
-  // mid-run).
-  const bool block_ok = config_.block_translate && config_.costs.user_instruction == 1 &&
-                        config_.trace_addr == kInvalidAddr;
   while (true) {
     if (live_count_ == 0) {
       result.all_done = true;
@@ -335,8 +323,12 @@ RunResult Machine::Run(Cycles max_cycles) {
       }
       continue;
     }
-    if (block_ok) {
-      const std::uint64_t fused = RunTranslated(max_cycles, core);
+    // A pick that needed no Reschedule is the lowest (clock, id), so it is
+    // the rounds' first turn. After a Reschedule the committed op runs in
+    // ExecuteOne, as the oracle runs it: the context-switch charge may have
+    // pushed this core's clock past another's.
+    if (config_.block_translate && !need_resched) {
+      const std::uint64_t fused = RunTranslated(max_cycles);
       if (fused != 0) {
         // The fused loop advanced the machine and stopped at a consistent
         // iteration boundary; re-derive everything at the top of the loop.
@@ -740,23 +732,21 @@ void Machine::ExecuteOne(CoreId core) {
   const unsigned length = program.LengthAt(*index);
   current_instruction_pc_ = t.pc;
   pending_extra_ = 0;
-  Cycles cost = config_.costs.user_instruction;
+  Cycles cost = kUserInstructionCycles;
 
   // Access-level event sinks (the HB detector, --trace-events=access) need
   // the access list, with old values, of every instruction run here (under
   // the block engine, only those touching shared data); the cached hub mask
   // makes the check one load-and-test. When no armed watchpoint exists on
-  // this core, address tracing is off and no sink wants access events,
-  // nobody observes the access list — skip building it (and the old-value
-  // memory reads) entirely. With watchpoints armed, collect but let
-  // MayMatch skip old-value capture for accesses outside the armed range
-  // hull (unless a consumer needs the values themselves).
+  // this core and no sink wants access events, nobody observes the access
+  // list — skip building it (and the old-value memory reads) entirely. With
+  // watchpoints armed, collect but let MayMatch skip old-value capture for
+  // accesses outside the armed range hull (unless a sink needs the values
+  // themselves).
   const bool access_events = (trace_.hub().mask() & kAccessEventKinds) != 0;
-  const bool tracing = config_.trace_addr != kInvalidAddr;
   const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
-  if (tracing || armed || access_events) {
-    CollectAccesses(t, instr, access_scratch_,
-                    tracing || access_events ? nullptr : &c.debug_regs);
+  if (armed || access_events) {
+    CollectAccesses(t, instr, access_scratch_, access_events ? nullptr : &c.debug_regs);
   } else {
     access_scratch_.clear();
   }
@@ -775,23 +765,7 @@ void Machine::ExecuteOne(CoreId core) {
   }
 
   if (!cancelled) {
-    if (config_.trace_addr != kInvalidAddr) {
-      for (const MemAccess& access : access_scratch_) {
-        if (access.type == AccessType::kWrite && access.addr <= config_.trace_addr &&
-            config_.trace_addr < access.addr + access.size) {
-          // Log after semantics below; remember that a traced write happens.
-          traced_write_pending_ = true;
-        }
-      }
-    }
     ApplySemantics(core, t, instr, length);
-    if (traced_write_pending_) {
-      traced_write_pending_ = false;
-      KIVATI_LOG(kDebug) << "write: t" << t.tid << " pc=0x" << std::hex
-                         << current_instruction_pc_ << " " << ToString(instr.op) << " [0x"
-                         << config_.trace_addr << "] = " << std::dec
-                         << memory_.Read(config_.trace_addr, 8) << " at " << now_;
-    }
     ++t.instructions;
     ++instructions_executed_;
     if (access_events && !access_scratch_.empty()) {

@@ -56,18 +56,15 @@ struct MachineConfig {
   Cycles quantum = 4000;
   std::uint64_t seed = 1;
   CostModel costs;
-  // Debug aid: every committed write overlapping this address is logged at
-  // debug level with thread, PC and value.
-  Addr trace_addr = kInvalidAddr;
   // Execute through the basic-block translation engine (exec/
   // block_translate.h): predecoded fused superinstructions that run all busy
   // cores in rounds, with one armed-hull watchpoint test per memory op and
   // the scheduler poll hoisted out of the op loop. Schedule controllers
   // (record, replay, guided) run fused; while an access-level trace sink
-  // listens, only ops touching shared data take the per-instruction path;
-  // address tracing deoptimizes the whole run. Turning it off selects the
-  // per-instruction loop alone, the oracle the block engine must match
-  // byte for byte (`kivati run --no-block-translate`, block_translate_test,
+  // listens, only ops touching shared data take the per-instruction path.
+  // This flag alone chooses the engine. Turning it off selects the
+  // per-instruction loop alone, the oracle the block engine must match byte
+  // for byte (`kivati run --no-block-translate`, block_translate_test,
   // fused_modes_test; docs/performance.md).
   bool block_translate = true;
 };
@@ -251,28 +248,23 @@ class Machine {
   void ExecuteOne(CoreId core);
 
   // The block-translation engine's round executor (exec/block_exec.cc).
-  // Run calls it only at unit instruction cost, where Run's (clock, id)
-  // pick between kernel entries is exactly "at cycle R, every core whose
-  // clock is R acts in id order". It runs predecoded ops of all busy cores
-  // round by round, parks idle cores whose idle-loop sync is a proven no-op
+  // Every user instruction costs one cycle, so Run's (clock, id) pick
+  // between kernel entries is exactly "at cycle R, every core whose clock
+  // is R acts in id order". It runs predecoded ops of all busy cores round
+  // by round, parks idle cores whose idle-loop sync is a proven no-op
   // (their clocks are set in closed form on exit), and returns to Run at
   // the first pick it cannot fuse: a barrier, a trap that may fire, a
   // shared-data access while an access-level sink listens, an untranslated
   // target, a quantum expiry, a blocked thread, a scheduling decision, the
-  // cycle cap or a timer deadline.
-  // `entry_core` is the core Run picked *this iteration*: Run commits to
-  // executing one instruction of that core's thread before re-deriving
-  // anything — even when the Reschedule it just ran charged context-switch
-  // cost that pushed the core's clock past another's — so the executor
-  // runs that one op first (or returns 0 for ExecuteOne to do it) before
-  // deriving its own rounds. Returns the number of instructions executed;
-  // 0 means no progress was possible and the caller must take the generic
-  // path.
-  std::uint64_t RunTranslated(Cycles max_cycles, CoreId entry_core);
+  // cycle cap or a timer deadline. Run calls it only at a pick that needed
+  // no Reschedule, which is the rounds' first turn. Returns the number of
+  // instructions executed; 0 means the first turn could not be fused and
+  // the caller must take the generic path.
+  std::uint64_t RunTranslated(Cycles max_cycles);
   // RunTranslated's body, instantiated for whether an access-level sink
   // listens (exec/block_exec.cc).
   template <bool kSink>
-  std::uint64_t RunFused(Cycles max_cycles, CoreId entry_core);
+  std::uint64_t RunFused(Cycles max_cycles);
 
   // Collects the accesses `instr` will perform for thread `t`, in program
   // order, for watchpoint checking. `filter` skips the old-value capture for
@@ -320,8 +312,6 @@ class Machine {
   std::uint64_t instructions_executed_ = 0;
   std::uint64_t fused_instructions_ = 0;
 
-  bool traced_write_pending_ = false;
-
   // Scratch reused across ExecuteOne calls.
   std::vector<MemAccess> access_scratch_;
 
@@ -332,9 +322,6 @@ class Machine {
   mutable bool earliest_valid_ = true;
 
   // --- Block-translation state (exec/block_exec.cc) ------------------------
-  // Per-core cursor into the translated op array, valid only within one
-  // RunTranslated call (kNoOp = re-derive from the thread's PC).
-  std::vector<std::uint32_t> block_cursors_;
   // One busy core in the round executor: it runs an op at each round from
   // `next` (its clock) up to, not including, `limit`.
   struct RoundLane {

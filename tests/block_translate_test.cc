@@ -3,7 +3,8 @@
 // Three layers of guardrails:
 //   1. Structural unit tests of the translation: leader analysis (branch
 //      targets and barrier instructions open blocks), barrier singletons,
-//      static-target resolution and PC mapping.
+//      static-target resolution, PC mapping, and the barrier that ends a
+//      text whose last instruction falls through.
 //   2. Byte-identity: every corpus bug — the 11 single-variable and the 4
 //      multi-variable ones — simulates identically under the block engine
 //      and the per-instruction loop, its oracle, in both usage modes: full
@@ -26,6 +27,8 @@
 #include "exp/run_record.h"
 #include "exp/run_spec.h"
 #include "exp/runner.h"
+#include "isa/program.h"
+#include "sched/machine.h"
 
 namespace kivati {
 namespace {
@@ -132,6 +135,56 @@ TEST(BlockTranslationTest, StaticTargetsResolveToBlockLeaders) {
   }
   EXPECT_EQ(trans.OpIndexOfPc(cp.program.text_end()), kNoOp);
   EXPECT_EQ(trans.OpIndexOfPc(cp.program.text_end() + 100), kNoOp);
+}
+
+// `main: loadimm r1,6; addi r1,r1,1` with no halt or ret: the last
+// instruction falls through past the end of the text. Only hand-built
+// programs end this way (codegen ends every function with ret).
+Program FallThroughProgram() {
+  ProgramBuilder b;
+  b.BeginFunction("main");
+  b.LoadImm(1, 6);
+  b.AddI(1, 1, 1);
+  b.EndFunction();
+  return b.Build();
+}
+
+TEST(BlockTranslationTest, FallThroughLastInstructionIsABarrier) {
+  const Program program = FallThroughProgram();
+  const BlockTranslation trans(program);
+  ASSERT_EQ(trans.num_ops(), program.size());
+  EXPECT_EQ(trans.op(0).kind, FusedKind::kLoadImm);
+  EXPECT_EQ(trans.op(1).kind, FusedKind::kBarrier);
+  EXPECT_EQ(trans.block(trans.op(1).block).first_op, 1u);
+}
+
+// Both engines run the fall-through program off the end of the text into
+// the invalid-PC exit; without the barrier the rounds would step past the
+// op array.
+TEST(BlockEngineFallThroughTest, BothEnginesExitAtTheInvalidPc) {
+  for (const unsigned cores : {1u, 2u}) {
+    // Indexed by block_translate: [0] the per-instruction loop, [1] blocks.
+    RunResult results[2];
+    std::uint64_t status[2] = {0, 0};
+    for (const bool block_translate : {true, false}) {
+      MachineConfig config;
+      config.num_cores = cores;
+      config.block_translate = block_translate;
+      Machine machine(FallThroughProgram(), config);
+      const ThreadId tid = machine.SpawnThreadByName("main", 0);
+      results[block_translate] = machine.Run(1'000'000);
+      status[block_translate] = machine.thread(tid).exit_status;
+    }
+    const std::string where = "c" + std::to_string(cores);
+    EXPECT_TRUE(results[1].all_done) << where;
+    EXPECT_EQ(results[1].all_done, results[0].all_done) << where;
+    EXPECT_EQ(results[1].deadlocked, results[0].deadlocked) << where;
+    EXPECT_EQ(results[1].hit_limit, results[0].hit_limit) << where;
+    EXPECT_EQ(results[1].cycles, results[0].cycles) << where;
+    EXPECT_EQ(results[1].instructions, results[0].instructions) << where;
+    EXPECT_EQ(status[1], ~std::uint64_t{0}) << where;
+    EXPECT_EQ(status[1], status[0]) << where;
+  }
 }
 
 // --- Byte-identity across the engine stack ---------------------------------

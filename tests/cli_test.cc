@@ -187,6 +187,18 @@ TEST_F(CliTest, AnnotateJsonEmitsTable) {
   EXPECT_EQ(result.output.find("atomic region(s):"), std::string::npos);
 }
 
+// A control character in the source path is escaped, so the report stays
+// valid JSON.
+TEST_F(CliTest, AnnotateJsonEscapesControlCharactersInSource) {
+  const std::string path = (dir_ / "tab\there.kv").string();
+  std::filesystem::copy_file(program_, path);
+  const CommandResult result = RunCliStdout("annotate '" + path + "' --json");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  ExpectSingleJsonDocument(result.output);
+  EXPECT_NE(result.output.find("tab\\there.kv\""), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find('\t'), std::string::npos) << result.output;
+}
+
 TEST_F(CliTest, AnnotateJsonCarriesCorrelationColumns) {
   // Every AR row carries the correlated-variable columns; on a module where
   // nothing fuses they hold the neutral values and the envelope stays a

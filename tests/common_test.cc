@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "common/report_envelope.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -153,6 +155,18 @@ TEST(SerializabilityTest, WatchCoversAllViolations) {
       }
     }
   }
+}
+
+// The one JSON string escaper every report writes through: quote and
+// backslash get a backslash, newline and tab their short escapes, and any
+// other control character a \u escape, so every report parses as JSON.
+TEST(ReportEnvelopeTest, EscapeJsonEscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(report::EscapeJson("plain/path.kv"), "plain/path.kv");
+  EXPECT_EQ(report::EscapeJson("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(report::EscapeJson("a\\b"), "a\\\\b");
+  EXPECT_EQ(report::EscapeJson("a\nb"), "a\\nb");
+  EXPECT_EQ(report::EscapeJson("tab\there"), "tab\\there");
+  EXPECT_EQ(report::EscapeJson(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 }  // namespace

@@ -1,18 +1,17 @@
 // Block-engine transparency across the configuration space the round
 // executor (exec/block_exec.cc) has special code for: core counts 1-8,
 // idle cores parked with and without hooks, quantum expiries inside a
-// round, the non-unit cost fallback, trap-before delivery and watchpoint
-// counts (which set the armed hull each fused memory op is tested
-// against); and under schedule controllers and access-level sinks, which
-// run fused (docs/performance.md, "Deopt triggers"): strict replay, loose
-// (shrunk) replay, guided PCT and bounded-preemption fuzzing, and the
-// happens-before oracle, at up to eight cores. The workloads are corpus
-// bugs, registered apps and randomly generated mini-C programs
-// (tests/program_generator.h). Each case runs once with block translation
-// on and once on the per-instruction loop, the oracle, and must produce
-// byte-identical RunRecord JSON (modulo wall clock), the same
-// ScheduleTrace and the same access-event stream. At unit instruction
-// cost the block side must actually have run fused.
+// round, trap-before delivery and watchpoint counts (which set the armed
+// hull each fused memory op is tested against); and under schedule
+// controllers and access-level sinks, which run fused (docs/performance.md,
+// "Deopt triggers"): strict replay, loose (shrunk) replay, guided PCT and
+// bounded-preemption fuzzing, and the happens-before oracle, at up to eight
+// cores. The workloads are corpus bugs, registered apps and randomly
+// generated mini-C programs (tests/program_generator.h). Each case runs once
+// with block translation on and once on the per-instruction loop, the
+// oracle, and must produce byte-identical RunRecord JSON (modulo wall
+// clock), the same ScheduleTrace and the same access-event stream. The block
+// side must actually have run fused.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -58,7 +57,6 @@ struct Case {
   bool vanilla = false;
   OptimizationPreset preset = OptimizationPreset::kOptimized;  // apps only
   Cycles quantum = MachineConfig{}.quantum;
-  Cycles user_instruction = CostModel{}.user_instruction;
   unsigned watchpoints = MachineConfig{}.watchpoints_per_core;
   std::uint64_t program_seed = 0;  // ProgramGenerator seed; 0 = not generated
 };
@@ -80,9 +78,6 @@ void PrintTo(const Case& c, std::ostream* os) {
   }
   if (c.quantum != MachineConfig{}.quantum) {
     *os << " q" << c.quantum;
-  }
-  if (c.user_instruction != CostModel{}.user_instruction) {
-    *os << " ucost" << c.user_instruction;
   }
   if (c.watchpoints != MachineConfig{}.watchpoints_per_core) {
     *os << " w" << c.watchpoints;
@@ -132,7 +127,6 @@ exp::RunSpec BaseSpec(const Case& c) {
   spec.machine.num_cores = c.cores;
   spec.machine.trap_delivery = c.trap;
   spec.machine.quantum = c.quantum;
-  spec.machine.costs.user_instruction = c.user_instruction;
   spec.machine.watchpoints_per_core = c.watchpoints;
   return spec;
 }
@@ -239,11 +233,7 @@ TEST_P(FusedModesTest, BlockMatchesPerInstruction) {
   if (c.mode == Mode::kHbDetector) {
     EXPECT_FALSE(block.events.empty()) << "the oracle saw no shared access";
   }
-  if (c.user_instruction == 1) {
-    EXPECT_GT(block.fused, 0u) << "the block engine never engaged";
-  } else {
-    EXPECT_EQ(block.fused, 0u) << "the rounds assume unit instruction cost";
-  }
+  EXPECT_GT(block.fused, 0u) << "the block engine never engaged";
   EXPECT_EQ(ref.fused, 0u);
 }
 
@@ -352,9 +342,19 @@ std::vector<Case> AllCases() {
   cases.push_back({"NSS-329072", 8, Mode::kPlain, TrapDelivery::kBefore});
   // A quantum that is not a multiple of anything: expiries land mid-round.
   cases.push_back({.workload = "nss", .cores = 4, .mode = Mode::kPlain, .quantum = 97});
-  // Any other instruction cost runs per instruction (the rounds return 0).
-  cases.push_back({.workload = "NSS-329072", .cores = 4, .mode = Mode::kPlain,
-                   .user_instruction = 2});
+  // Generated programs under the short quantum, which forces a Reschedule
+  // (run per instruction, outside the rounds) every 97 cycles, and under a
+  // replaying and a guided controller.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::string name = "gen" + std::to_string(seed);
+    cases.push_back({.workload = name, .cores = 4, .mode = Mode::kPlain, .quantum = 97,
+                     .program_seed = seed});
+    for (const unsigned cores : {2u, 4u}) {
+      for (const Mode mode : {Mode::kStrictReplay, Mode::kGuidedPct}) {
+        cases.push_back({.workload = name, .cores = cores, .mode = mode, .program_seed = seed});
+      }
+    }
+  }
   return cases;
 }
 

@@ -825,20 +825,6 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
   return spec;
 }
 
-// Minimal JSON string escaping for the annotate table (identifiers and
-// file paths; the full escaper lives with the RunRecord serializer).
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 int Annotate(const CliOptions& options) {
   CompileOptions compile_options;
   compile_options.annotator = options.annotator;
@@ -873,12 +859,12 @@ int Annotate(const CliOptions& options) {
   }
   if (options.json_to_stdout) {
     std::string json = report::EnvelopePrefix({"kivati_annotate", 1});
-    json += "\"source\":\"" + EscapeJson(options.file) + "\",";
+    json += "\"source\":\"" + report::EscapeJson(options.file) + "\",";
     json += "\"ars_total\":" + std::to_string(compiled.num_ars) + ",\"ars\":[\n";
     for (const ArDebugInfo& info : compiled.ar_infos) {
       json += "{\"id\":" + std::to_string(info.id);
-      json += ",\"function\":\"" + EscapeJson(info.function) + "\"";
-      json += ",\"variable\":\"" + EscapeJson(info.variable) + "\"";
+      json += ",\"function\":\"" + report::EscapeJson(info.function) + "\"";
+      json += ",\"variable\":\"" + report::EscapeJson(info.variable) + "\"";
       json += ",\"line\":" + std::to_string(info.line);
       json += ",\"first_access\":\"";
       json += ToString(info.first_type);
@@ -898,7 +884,8 @@ int Annotate(const CliOptions& options) {
       json += info.synthesized ? "true" : "false";
       json += ",\"correlated\":[";
       for (std::size_t i = 0; i < info.correlated.size(); ++i) {
-        json += std::string(i > 0 ? "," : "") + "\"" + EscapeJson(info.correlated[i]) + "\"";
+        json += std::string(i > 0 ? "," : "") + "\"" + report::EscapeJson(info.correlated[i]) +
+                "\"";
       }
       json += "]}";
       json += info.id < compiled.num_ars ? ",\n" : "\n";
@@ -1206,7 +1193,7 @@ int Shrink(const CliOptions& options) {
   }
   if (!options.json_path.empty()) {
     std::string json = report::EnvelopePrefix({"kivati_shrink", 1});
-    json += "\"input\":\"" + EscapeJson(options.file) + "\",";
+    json += "\"input\":\"" + report::EscapeJson(options.file) + "\",";
     json += "\"reproduced\":" + std::string(result.reproduced ? "true" : "false") + ",";
     json += "\"original_decisions\":" + std::to_string(result.original_decisions) + ",";
     json += "\"decisions\":" + std::to_string(result.trace.decisions.size()) + ",";
@@ -1218,7 +1205,7 @@ int Shrink(const CliOptions& options) {
     }
     json += "\"budget_exhausted\":" + std::string(result.budget_exhausted ? "true" : "false");
     if (result.reproduced) {
-      json += ",\"out\":\"" + EscapeJson(out_path) + "\"";
+      json += ",\"out\":\"" + report::EscapeJson(out_path) + "\"";
     }
     json += "}\n";
     WriteJsonOutput(options.json_path, json);
