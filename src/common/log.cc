@@ -59,10 +59,4 @@ const char* ToString(WatchType type) {
   return "?";
 }
 
-std::string FormatPercent(double fraction, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, fraction * 100.0);
-  return buf;
-}
-
 }  // namespace kivati

@@ -117,9 +117,6 @@ constexpr bool NonSerializable(AccessType first, AccessType remote, AccessType s
   return first == AccessType::kWrite && second == AccessType::kWrite;
 }
 
-// Human-readable "app" label used by experiment harnesses.
-std::string FormatPercent(double fraction, int decimals = 1);
-
 }  // namespace kivati
 
 #endif  // KIVATI_COMMON_TYPES_H_

@@ -10,46 +10,10 @@
 
 namespace kivati {
 namespace exp {
+
+using report::AppendField;
+
 namespace {
-
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
-                static_cast<unsigned long long>(value), comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6f%s", key, value, comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void AppendString(std::string& out, const char* key, const std::string& value,
-                  bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
 
 // The addresses of the shared variables behind the workload's known-buggy
 // ARs: the HB backend reports per address, Kivati per AR, so "did it find
@@ -214,47 +178,47 @@ CompareReport RunCompare(const CompareOptions& options) {
 
 std::string CompareReportJson(const CompareReport& report, bool include_wall_clock) {
   std::string out = report::EnvelopePrefix({"kivati_compare", 1});
-  Append(out, "seed", report.seed);
-  Append(out, "rows_total", static_cast<std::uint64_t>(report.rows_total));
-  Append(out, "rows_with_bugs", static_cast<std::uint64_t>(report.rows_with_bugs));
-  Append(out, "kivati_bugs_found", static_cast<std::uint64_t>(report.kivati_bugs_found));
-  Append(out, "hb_bugs_found", static_cast<std::uint64_t>(report.hb_bugs_found));
-  Append(out, "kivati_false_positives",
-         static_cast<std::uint64_t>(report.kivati_false_positives));
-  Append(out, "hb_false_positives", static_cast<std::uint64_t>(report.hb_false_positives));
-  Append(out, "hb_lockset_only", static_cast<std::uint64_t>(report.hb_lockset_only));
-  Append(out, "kivati_overhead_ops", report.kivati_overhead_ops);
-  Append(out, "hb_overhead_ops", report.hb_overhead_ops);
-  Append(out, "hb_accesses", report.hb_accesses);
-  Append(out, "kivati_ops_per_access", report.kivati_ops_per_access);
-  Append(out, "hb_ops_per_access", report.hb_ops_per_access);
-  Append(out, "overhead_ratio", report.overhead_ratio);
+  AppendField(out, "seed", report.seed);
+  AppendField(out, "rows_total", static_cast<std::uint64_t>(report.rows_total));
+  AppendField(out, "rows_with_bugs", static_cast<std::uint64_t>(report.rows_with_bugs));
+  AppendField(out, "kivati_bugs_found", static_cast<std::uint64_t>(report.kivati_bugs_found));
+  AppendField(out, "hb_bugs_found", static_cast<std::uint64_t>(report.hb_bugs_found));
+  AppendField(out, "kivati_false_positives",
+              static_cast<std::uint64_t>(report.kivati_false_positives));
+  AppendField(out, "hb_false_positives", static_cast<std::uint64_t>(report.hb_false_positives));
+  AppendField(out, "hb_lockset_only", static_cast<std::uint64_t>(report.hb_lockset_only));
+  AppendField(out, "kivati_overhead_ops", report.kivati_overhead_ops);
+  AppendField(out, "hb_overhead_ops", report.hb_overhead_ops);
+  AppendField(out, "hb_accesses", report.hb_accesses);
+  AppendField(out, "kivati_ops_per_access", report.kivati_ops_per_access);
+  AppendField(out, "hb_ops_per_access", report.hb_ops_per_access);
+  AppendField(out, "overhead_ratio", report.overhead_ratio);
   if (include_wall_clock) {
-    Append(out, "wall_ms", report.wall_ms);
+    AppendField(out, "wall_ms", report.wall_ms);
   }
   out += "\"rows\":[\n";
   for (std::size_t i = 0; i < report.rows.size(); ++i) {
     const CompareRow& row = report.rows[i];
     std::string line = "{";
-    AppendString(line, "name", row.name);
+    AppendField(line, "name", row.name);
     if (!row.error.empty()) {
-      AppendString(line, "error", row.error, /*comma=*/false);
+      AppendField(line, "error", row.error, /*comma=*/false);
     } else {
-      Append(line, "has_known_bugs", row.has_known_bugs);
-      Append(line, "kivati_found_bug", row.kivati_found_bug);
-      Append(line, "kivati_violations", static_cast<std::uint64_t>(row.kivati_violations));
-      Append(line, "kivati_bug_ars", static_cast<std::uint64_t>(row.kivati_bug_ars));
-      Append(line, "kivati_false_positive_ars",
-             static_cast<std::uint64_t>(row.kivati_false_positive_ars));
-      Append(line, "kivati_overhead_ops", row.kivati_overhead_ops);
-      Append(line, "hb_found_bug", row.hb_found_bug);
-      Append(line, "hb_races", static_cast<std::uint64_t>(row.hb_races));
-      Append(line, "hb_bug_addrs", static_cast<std::uint64_t>(row.hb_bug_addrs));
-      Append(line, "hb_false_positive_addrs",
-             static_cast<std::uint64_t>(row.hb_false_positive_addrs));
-      Append(line, "hb_lockset_only", static_cast<std::uint64_t>(row.hb_lockset_only));
-      Append(line, "hb_accesses", row.hb_accesses);
-      Append(line, "hb_overhead_ops", row.hb_overhead_ops, /*comma=*/false);
+      AppendField(line, "has_known_bugs", row.has_known_bugs);
+      AppendField(line, "kivati_found_bug", row.kivati_found_bug);
+      AppendField(line, "kivati_violations", static_cast<std::uint64_t>(row.kivati_violations));
+      AppendField(line, "kivati_bug_ars", static_cast<std::uint64_t>(row.kivati_bug_ars));
+      AppendField(line, "kivati_false_positive_ars",
+                  static_cast<std::uint64_t>(row.kivati_false_positive_ars));
+      AppendField(line, "kivati_overhead_ops", row.kivati_overhead_ops);
+      AppendField(line, "hb_found_bug", row.hb_found_bug);
+      AppendField(line, "hb_races", static_cast<std::uint64_t>(row.hb_races));
+      AppendField(line, "hb_bug_addrs", static_cast<std::uint64_t>(row.hb_bug_addrs));
+      AppendField(line, "hb_false_positive_addrs",
+                  static_cast<std::uint64_t>(row.hb_false_positive_addrs));
+      AppendField(line, "hb_lockset_only", static_cast<std::uint64_t>(row.hb_lockset_only));
+      AppendField(line, "hb_accesses", row.hb_accesses);
+      AppendField(line, "hb_overhead_ops", row.hb_overhead_ops, /*comma=*/false);
     }
     line += "}";
     out += line;

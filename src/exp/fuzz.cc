@@ -17,6 +17,9 @@
 
 namespace kivati {
 namespace exp {
+
+using report::AppendField;
+
 namespace {
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
@@ -124,66 +127,24 @@ std::string DedupKey(const ReproTarget& target) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON (run_record.cc conventions).
+// JSON.
 // ---------------------------------------------------------------------------
-
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += buf;
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += report::EscapeJson(value);
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
 
 std::string DiscoveryJson(const FuzzDiscovery& d) {
   std::string out = "{";
-  Append(out, "ar", static_cast<std::uint64_t>(d.target.ar));
-  Append(out, "pattern", d.target.pattern);
-  Append(out, "addr", d.target.addr);
-  Append(out, "size", static_cast<std::uint64_t>(d.target.size));
-  Append(out, "schedule", static_cast<std::uint64_t>(d.schedule_index));
-  Append(out, "strategy", d.strategy);
-  Append(out, "strategy_seed", d.strategy_seed);
-  Append(out, "trace_decisions", static_cast<std::uint64_t>(d.trace_decisions));
-  Append(out, "shrunk_decisions", static_cast<std::uint64_t>(d.shrunk_decisions));
-  Append(out, "shrink_runs", static_cast<std::uint64_t>(d.shrink_runs));
-  Append(out, "shrink_budget_exhausted", d.shrink_budget_exhausted);
-  Append(out, "replay_ok", d.replay_ok);
-  Append(out, "artifact", d.artifact_path, /*comma=*/false);
+  AppendField(out, "ar", static_cast<std::uint64_t>(d.target.ar));
+  AppendField(out, "pattern", d.target.pattern);
+  AppendField(out, "addr", d.target.addr);
+  AppendField(out, "size", static_cast<std::uint64_t>(d.target.size));
+  AppendField(out, "schedule", static_cast<std::uint64_t>(d.schedule_index));
+  AppendField(out, "strategy", d.strategy);
+  AppendField(out, "strategy_seed", d.strategy_seed);
+  AppendField(out, "trace_decisions", static_cast<std::uint64_t>(d.trace_decisions));
+  AppendField(out, "shrunk_decisions", static_cast<std::uint64_t>(d.shrunk_decisions));
+  AppendField(out, "shrink_runs", static_cast<std::uint64_t>(d.shrink_runs));
+  AppendField(out, "shrink_budget_exhausted", d.shrink_budget_exhausted);
+  AppendField(out, "replay_ok", d.replay_ok);
+  AppendField(out, "artifact", d.artifact_path, /*comma=*/false);
   out += "}";
   return out;
 }
@@ -377,19 +338,19 @@ FuzzReport Fuzz(const RunSpec& spec, const FuzzOptions& options) {
 
 std::string FuzzReportJson(const FuzzReport& report, bool include_wall_clock) {
   std::string out = report::EnvelopePrefix({"kivati_fuzz", 1});
-  Append(out, "app", report.app);
-  Append(out, "strategy", report.strategy);
-  Append(out, "seed", report.seed);
-  Append(out, "max_schedules", static_cast<std::uint64_t>(report.max_schedules));
-  Append(out, "plateau", static_cast<std::uint64_t>(report.plateau));
-  Append(out, "schedules_run", static_cast<std::uint64_t>(report.schedules_run));
-  Append(out, "schedules_with_violations",
-         static_cast<std::uint64_t>(report.schedules_with_violations));
-  Append(out, "stopped_on_plateau", report.stopped_on_plateau);
-  Append(out, "coverage_points", static_cast<std::uint64_t>(report.coverage_points));
+  AppendField(out, "app", report.app);
+  AppendField(out, "strategy", report.strategy);
+  AppendField(out, "seed", report.seed);
+  AppendField(out, "max_schedules", static_cast<std::uint64_t>(report.max_schedules));
+  AppendField(out, "plateau", static_cast<std::uint64_t>(report.plateau));
+  AppendField(out, "schedules_run", static_cast<std::uint64_t>(report.schedules_run));
+  AppendField(out, "schedules_with_violations",
+              static_cast<std::uint64_t>(report.schedules_with_violations));
+  AppendField(out, "stopped_on_plateau", report.stopped_on_plateau);
+  AppendField(out, "coverage_points", static_cast<std::uint64_t>(report.coverage_points));
   if (include_wall_clock) {
-    Append(out, "workers", static_cast<std::uint64_t>(report.workers));
-    Append(out, "wall_ms", report.wall_ms);
+    AppendField(out, "workers", static_cast<std::uint64_t>(report.workers));
+    AppendField(out, "wall_ms", report.wall_ms);
   }
   out += "\"coverage_curve\":[";
   for (std::size_t i = 0; i < report.coverage_curve.size(); ++i) {

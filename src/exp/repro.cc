@@ -1,8 +1,5 @@
 #include "exp/repro.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,53 +10,15 @@
 
 namespace kivati {
 namespace exp {
+
+using report::AppendField;
+using report::Json;
+
 namespace {
 
 // ---------------------------------------------------------------------------
-// Writing. Reuses the run_record.cc conventions (compact, snprintf-based).
+// Writing.
 // ---------------------------------------------------------------------------
-
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += buf;
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += report::EscapeJson(value);
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
 
 std::string SpecJson(const RunSpec& spec) {
   if (spec.prebuilt != nullptr) {
@@ -70,13 +29,13 @@ std::string SpecJson(const RunSpec& spec) {
     throw std::runtime_error("cannot save a repro for a config_override spec");
   }
   std::string out = "{";
-  Append(out, "label", spec.label);
+  AppendField(out, "label", spec.label);
   if (!spec.bug.empty()) {
-    Append(out, "bug", spec.bug);
+    AppendField(out, "bug", spec.bug);
   } else if (!spec.app.empty()) {
-    Append(out, "app", spec.app);
+    AppendField(out, "app", spec.app);
   } else {
-    Append(out, "source", spec.source_path);
+    AppendField(out, "source", spec.source_path);
     out += "\"threads\":[";
     for (std::size_t i = 0; i < spec.threads.size(); ++i) {
       if (i != 0) {
@@ -87,41 +46,42 @@ std::string SpecJson(const RunSpec& spec) {
     }
     out += "],";
   }
-  Append(out, "workers", static_cast<std::uint64_t>(spec.scale.workers));
-  Append(out, "iterations", static_cast<std::uint64_t>(spec.scale.iterations));
-  Append(out, "prune", spec.scale.prune);
-  Append(out, "interprocedural", spec.scale.annotator.interprocedural);
-  Append(out, "precise_aliasing", spec.scale.annotator.precise_aliasing);
-  Append(out, "cores", static_cast<std::uint64_t>(spec.machine.num_cores));
-  Append(out, "watchpoints", static_cast<std::uint64_t>(spec.machine.watchpoints_per_core));
-  Append(out, "quantum", static_cast<std::uint64_t>(spec.machine.quantum));
-  Append(out, "seed", spec.machine.seed);
-  Append(out, "policy",
-         std::string(spec.machine.policy == SchedPolicy::kRandom ? "random" : "round-robin"));
-  Append(out, "trap_delivery",
-         std::string(spec.machine.trap_delivery == TrapDelivery::kBefore ? "before" : "after"));
-  Append(out, "vanilla", spec.vanilla);
-  Append(out, "preset", std::string(ToString(spec.preset)));
-  Append(out, "mode", std::string(ToString(spec.mode)));
-  Append(out, "pause_ms", spec.pause_ms);
+  AppendField(out, "workers", static_cast<std::uint64_t>(spec.scale.workers));
+  AppendField(out, "iterations", static_cast<std::uint64_t>(spec.scale.iterations));
+  AppendField(out, "prune", spec.scale.prune);
+  AppendField(out, "interprocedural", spec.scale.annotator.interprocedural);
+  AppendField(out, "precise_aliasing", spec.scale.annotator.precise_aliasing);
+  AppendField(out, "cores", static_cast<std::uint64_t>(spec.machine.num_cores));
+  AppendField(out, "watchpoints", static_cast<std::uint64_t>(spec.machine.watchpoints_per_core));
+  AppendField(out, "quantum", static_cast<std::uint64_t>(spec.machine.quantum));
+  AppendField(out, "seed", spec.machine.seed);
+  AppendField(out, "policy",
+              std::string(spec.machine.policy == SchedPolicy::kRandom ? "random" : "round-robin"));
+  AppendField(
+      out, "trap_delivery",
+      std::string(spec.machine.trap_delivery == TrapDelivery::kBefore ? "before" : "after"));
+  AppendField(out, "vanilla", spec.vanilla);
+  AppendField(out, "preset", std::string(ToString(spec.preset)));
+  AppendField(out, "mode", std::string(ToString(spec.mode)));
+  AppendField(out, "pause_ms", spec.pause_ms);
   if (!spec.whitelist_path.empty()) {
-    Append(out, "whitelist_path", spec.whitelist_path);
+    AppendField(out, "whitelist_path", spec.whitelist_path);
   }
   if (spec.whitelist_sync_vars.has_value()) {
-    Append(out, "whitelist_sync_vars", *spec.whitelist_sync_vars);
+    AppendField(out, "whitelist_sync_vars", *spec.whitelist_sync_vars);
   }
   if (spec.budget.has_value()) {
-    Append(out, "budget", static_cast<std::uint64_t>(*spec.budget));
+    AppendField(out, "budget", static_cast<std::uint64_t>(*spec.budget));
   }
-  Append(out, "latency_tag", static_cast<std::uint64_t>(spec.latency_tag), /*comma=*/false);
+  AppendField(out, "latency_tag", static_cast<std::uint64_t>(spec.latency_tag), /*comma=*/false);
   out += "}";
   return out;
 }
 
 std::string TraceJson(const ScheduleTrace& trace) {
   std::string out = "{";
-  Append(out, "seed", trace.seed);
-  Append(out, "shrunk", trace.shrunk);
+  AppendField(out, "seed", trace.seed);
+  AppendField(out, "shrunk", trace.shrunk);
   out += "\"decisions\":[";
   for (std::size_t i = 0; i < trace.decisions.size(); ++i) {
     const SchedDecision& d = trace.decisions[i];
@@ -148,262 +108,8 @@ std::string TraceJson(const ScheduleTrace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Reading: a minimal recursive-descent JSON parser, just enough for the
-// artifact schema (objects, arrays, strings, unsigned integers, doubles,
-// booleans, null). Errors carry the byte offset.
+// Reading: the artifact schema over the report::ParseJson tree.
 // ---------------------------------------------------------------------------
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::uint64_t uinteger = 0;  // valid when is_uint
-  bool is_uint = false;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  const Json* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Json Parse() {
-    Json value = ParseValue();
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      Fail("trailing characters after JSON document");
-    }
-    return value;
-  }
-
- private:
-  [[noreturn]] void Fail(const std::string& what) const {
-    throw std::runtime_error("repro JSON parse error at byte " + std::to_string(pos_) + ": " +
-                             what);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    if (Peek() != c) {
-      Fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && Peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Json ParseValue() {
-    const char c = Peek();
-    if (c == '{' || c == '[') {
-      if (++depth_ > kMaxDepth) {
-        Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
-      }
-      Json v = c == '{' ? ParseObject() : ParseArray();
-      --depth_;
-      return v;
-    }
-    switch (c) {
-      case '"': {
-        Json v;
-        v.type = Json::Type::kString;
-        v.string = ParseString();
-        return v;
-      }
-      case 't':
-      case 'f':
-        return ParseKeyword();
-      case 'n':
-        return ParseKeyword();
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Json ParseKeyword() {
-    Json v;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      v.type = Json::Type::kBool;
-      v.boolean = true;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      v.type = Json::Type::kBool;
-      v.boolean = false;
-    } else if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      v.type = Json::Type::kNull;
-    } else {
-      Fail("unknown keyword");
-    }
-    return v;
-  }
-
-  Json ParseNumber() {
-    const std::size_t start = pos_;
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      integral = false;  // the schema has no negative integers
-      ++pos_;
-    }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) {
-      Fail("expected a value");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    Json v;
-    v.type = Json::Type::kNumber;
-    v.number = std::strtod(token.c_str(), nullptr);
-    if (integral) {
-      v.uinteger = std::strtoull(token.c_str(), nullptr, 10);
-      v.is_uint = true;
-    }
-    return v;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) {
-        Fail("unterminated string");
-      }
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        Fail("unterminated escape");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            Fail("truncated \\u escape");
-          }
-          const unsigned long code = std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          // The writer only emits \u00xx control characters.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default:
-          Fail("unknown escape");
-      }
-    }
-  }
-
-  Json ParseObject() {
-    Expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (Consume('}')) {
-      return v;
-    }
-    while (true) {
-      std::string key = ParseString();
-      Expect(':');
-      v.object.emplace_back(std::move(key), ParseValue());
-      if (Consume('}')) {
-        return v;
-      }
-      Expect(',');
-    }
-  }
-
-  Json ParseArray() {
-    Expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (Consume(']')) {
-      return v;
-    }
-    while (true) {
-      v.array.push_back(ParseValue());
-      if (Consume(']')) {
-        return v;
-      }
-      Expect(',');
-    }
-  }
-
-  // Deepest array/object nesting accepted. Artifacts nest four levels;
-  // the cap keeps hostile input from overflowing the stack here and in
-  // Json's recursive destructor.
-  static constexpr int kMaxDepth = 64;
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
 
 [[noreturn]] void SchemaFail(const std::string& what) {
   throw std::runtime_error("repro JSON: " + what);
@@ -452,6 +158,13 @@ bool AsBool(const Json& v, const std::string& where) {
   return v.boolean;
 }
 
+const std::vector<Json>& AsArray(const Json& v, const std::string& where) {
+  if (v.type != Json::Type::kArray) {
+    SchemaFail("'" + where + "' must be an array");
+  }
+  return v.array;
+}
+
 const std::string& AsString(const Json& v, const std::string& where) {
   if (v.type != Json::Type::kString) {
     SchemaFail("'" + where + "' must be a string");
@@ -468,12 +181,13 @@ RunSpec SpecFromJson(const Json& j) {
     spec.app = AsString(*app, "app");
   } else if (const Json* source = j.Find("source")) {
     spec.source_path = AsString(*source, "source");
-    for (const Json& t : Require(j, "threads").array) {
-      if (t.array.size() != 2) {
+    for (const Json& t : AsArray(Require(j, "threads"), "threads")) {
+      const std::vector<Json>& entry = AsArray(t, "thread entry");
+      if (entry.size() != 2) {
         SchemaFail("each thread entry must be [function, arg]");
       }
-      spec.threads.emplace_back(AsString(t.array[0], "thread function"),
-                                AsUint(t.array[1], "thread arg"));
+      spec.threads.emplace_back(AsString(entry[0], "thread function"),
+                                AsUint(entry[1], "thread arg"));
     }
   } else {
     SchemaFail("spec needs one of 'bug', 'app', 'source'");
@@ -536,12 +250,13 @@ ScheduleTrace TraceFromJson(const Json& j) {
   ScheduleTrace trace;
   trace.seed = AsUint(Require(j, "seed"), "trace.seed");
   trace.shrunk = AsBool(Require(j, "shrunk"), "trace.shrunk");
-  for (const Json& d : Require(j, "decisions").array) {
-    if (d.array.size() != 5) {
+  for (const Json& entry : AsArray(Require(j, "decisions"), "decisions")) {
+    const std::vector<Json>& d = AsArray(entry, "decision");
+    if (d.size() != 5) {
       SchemaFail("each decision must be [kind, value, choices, subject, instr]");
     }
     SchedDecision decision;
-    const std::string& kind = AsString(d.array[0], "decision kind");
+    const std::string& kind = AsString(d[0], "decision kind");
     if (kind == "pick") {
       decision.kind = SchedDecisionKind::kPick;
     } else if (kind == "pause") {
@@ -549,20 +264,21 @@ ScheduleTrace TraceFromJson(const Json& j) {
     } else {
       SchemaFail("unknown decision kind '" + kind + "'");
     }
-    decision.value = static_cast<std::uint32_t>(AsUint(d.array[1], "decision value"));
-    decision.choices = static_cast<std::uint32_t>(AsUint(d.array[2], "decision choices"));
-    decision.subject = static_cast<ThreadId>(AsUint(d.array[3], "decision subject"));
-    decision.instr = AsUint(d.array[4], "decision instr");
+    decision.value = static_cast<std::uint32_t>(AsUint(d[1], "decision value"));
+    decision.choices = static_cast<std::uint32_t>(AsUint(d[2], "decision choices"));
+    decision.subject = static_cast<ThreadId>(AsUint(d[3], "decision subject"));
+    decision.instr = AsUint(d[4], "decision instr");
     trace.decisions.push_back(decision);
   }
-  for (const Json& c : Require(j, "checkpoints").array) {
-    if (c.array.size() != 3) {
+  for (const Json& entry : AsArray(Require(j, "checkpoints"), "checkpoints")) {
+    const std::vector<Json>& c = AsArray(entry, "checkpoint");
+    if (c.size() != 3) {
       SchemaFail("each checkpoint must be [instr, thread, core]");
     }
     SchedCheckpoint checkpoint;
-    checkpoint.instr = AsUint(c.array[0], "checkpoint instr");
-    checkpoint.thread = static_cast<ThreadId>(AsUint(c.array[1], "checkpoint thread"));
-    checkpoint.core = static_cast<CoreId>(AsUint(c.array[2], "checkpoint core"));
+    checkpoint.instr = AsUint(c[0], "checkpoint instr");
+    checkpoint.thread = static_cast<ThreadId>(AsUint(c[1], "checkpoint thread"));
+    checkpoint.core = static_cast<CoreId>(AsUint(c[2], "checkpoint core"));
     trace.checkpoints.push_back(checkpoint);
   }
   return trace;
@@ -597,13 +313,13 @@ ReproArtifact MakeReproArtifact(const RunSpec& spec, const ScheduleTrace& trace,
 std::string ToJson(const ReproArtifact& artifact) {
   std::string out = report::EnvelopePrefix({"kivati_repro", 1});
   out += "\"spec\":" + SpecJson(artifact.spec) + ",";
-  Append(out, "violations", static_cast<std::uint64_t>(artifact.violations));
+  AppendField(out, "violations", static_cast<std::uint64_t>(artifact.violations));
   if (artifact.has_target) {
     out += "\"target\":{";
-    Append(out, "ar", static_cast<std::uint64_t>(artifact.target.ar));
-    Append(out, "pattern", artifact.target.pattern);
-    Append(out, "addr", artifact.target.addr);
-    Append(out, "size", static_cast<std::uint64_t>(artifact.target.size), /*comma=*/false);
+    AppendField(out, "ar", static_cast<std::uint64_t>(artifact.target.ar));
+    AppendField(out, "pattern", artifact.target.pattern);
+    AppendField(out, "addr", artifact.target.addr);
+    AppendField(out, "size", static_cast<std::uint64_t>(artifact.target.size), /*comma=*/false);
     out += "},";
   }
   out += "\"trace\":" + TraceJson(artifact.trace);
@@ -612,7 +328,7 @@ std::string ToJson(const ReproArtifact& artifact) {
 }
 
 ReproArtifact ReproFromJson(const std::string& json) {
-  const Json root = JsonParser(json).Parse();
+  const Json root = report::ParseJson(json);
   if (root.type != Json::Type::kObject) {
     SchemaFail("top level must be an object");
   }

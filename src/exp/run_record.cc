@@ -1,86 +1,54 @@
 #include "exp/run_record.h"
 
-#include <cstdio>
-
 #include "common/report_envelope.h"
 
 namespace kivati {
 namespace exp {
+
+using report::AppendField;
+
 namespace {
-
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
-                static_cast<unsigned long long>(value), comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6f%s", key, value, comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += report::EscapeJson(value);
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
 
 std::string HistogramJson(const CycleHistogram& hist) {
   std::string out = "{";
-  Append(out, "n", hist.count());
-  Append(out, "min", static_cast<std::uint64_t>(hist.min()));
-  Append(out, "p50", static_cast<std::uint64_t>(hist.Percentile(0.5)));
-  Append(out, "p99", static_cast<std::uint64_t>(hist.Percentile(0.99)));
-  Append(out, "max", static_cast<std::uint64_t>(hist.max()));
-  Append(out, "sum", hist.sum(), /*comma=*/false);
+  AppendField(out, "n", hist.count());
+  AppendField(out, "min", static_cast<std::uint64_t>(hist.min()));
+  AppendField(out, "p50", static_cast<std::uint64_t>(hist.Percentile(0.5)));
+  AppendField(out, "p99", static_cast<std::uint64_t>(hist.Percentile(0.99)));
+  AppendField(out, "max", static_cast<std::uint64_t>(hist.max()));
+  AppendField(out, "sum", hist.sum(), /*comma=*/false);
   out += "}";
   return out;
 }
 
 std::string StatsJson(const RuntimeStats& stats) {
   std::string out = "{";
-  Append(out, "begin_atomic_calls", stats.begin_atomic_calls);
-  Append(out, "end_atomic_calls", stats.end_atomic_calls);
-  Append(out, "clear_ar_calls", stats.clear_ar_calls);
-  Append(out, "kernel_entries_begin", stats.kernel_entries_begin);
-  Append(out, "kernel_entries_end", stats.kernel_entries_end);
-  Append(out, "kernel_entries_clear", stats.kernel_entries_clear);
-  Append(out, "kernel_entries_trap", stats.kernel_entries_trap);
-  Append(out, "watchpoint_traps", stats.watchpoint_traps);
-  Append(out, "violations_detected", stats.violations_detected);
-  Append(out, "violations_prevented", stats.violations_prevented);
-  Append(out, "ars_entered", stats.ars_entered);
-  Append(out, "ars_missed", stats.ars_missed);
-  Append(out, "ars_whitelisted", stats.ars_whitelisted);
-  Append(out, "ars_timeout_bypassed", stats.ars_timeout_bypassed);
-  Append(out, "remote_suspensions", stats.remote_suspensions);
-  Append(out, "suspension_timeouts", stats.suspension_timeouts);
-  Append(out, "unreorderable_accesses", stats.unreorderable_accesses);
-  Append(out, "bugfinding_pauses", stats.bugfinding_pauses);
-  Append(out, "fast_path_begin", stats.fast_path_begin);
-  Append(out, "fast_path_end", stats.fast_path_end);
-  Append(out, "fast_path_clear", stats.fast_path_clear);
-  Append(out, "ars_annotated", stats.ars_annotated);
-  Append(out, "ars_no_remote_writer", stats.ars_no_remote_writer);
-  Append(out, "ars_lock_protected", stats.ars_lock_protected);
-  Append(out, "ars_watch_required", stats.ars_watch_required);
-  Append(out, "ars_pruned", stats.ars_pruned);
+  AppendField(out, "begin_atomic_calls", stats.begin_atomic_calls);
+  AppendField(out, "end_atomic_calls", stats.end_atomic_calls);
+  AppendField(out, "clear_ar_calls", stats.clear_ar_calls);
+  AppendField(out, "kernel_entries_begin", stats.kernel_entries_begin);
+  AppendField(out, "kernel_entries_end", stats.kernel_entries_end);
+  AppendField(out, "kernel_entries_clear", stats.kernel_entries_clear);
+  AppendField(out, "kernel_entries_trap", stats.kernel_entries_trap);
+  AppendField(out, "watchpoint_traps", stats.watchpoint_traps);
+  AppendField(out, "violations_detected", stats.violations_detected);
+  AppendField(out, "violations_prevented", stats.violations_prevented);
+  AppendField(out, "ars_entered", stats.ars_entered);
+  AppendField(out, "ars_missed", stats.ars_missed);
+  AppendField(out, "ars_whitelisted", stats.ars_whitelisted);
+  AppendField(out, "ars_timeout_bypassed", stats.ars_timeout_bypassed);
+  AppendField(out, "remote_suspensions", stats.remote_suspensions);
+  AppendField(out, "suspension_timeouts", stats.suspension_timeouts);
+  AppendField(out, "unreorderable_accesses", stats.unreorderable_accesses);
+  AppendField(out, "bugfinding_pauses", stats.bugfinding_pauses);
+  AppendField(out, "fast_path_begin", stats.fast_path_begin);
+  AppendField(out, "fast_path_end", stats.fast_path_end);
+  AppendField(out, "fast_path_clear", stats.fast_path_clear);
+  AppendField(out, "ars_annotated", stats.ars_annotated);
+  AppendField(out, "ars_no_remote_writer", stats.ars_no_remote_writer);
+  AppendField(out, "ars_lock_protected", stats.ars_lock_protected);
+  AppendField(out, "ars_watch_required", stats.ars_watch_required);
+  AppendField(out, "ars_pruned", stats.ars_pruned);
   out += "\"suspension_latency\":" + HistogramJson(stats.suspension_latency) + ",";
   out += "\"ar_duration\":" + HistogramJson(stats.ar_duration) + ",";
   out += "\"sync_stall\":" + HistogramJson(stats.sync_stall);
@@ -140,27 +108,28 @@ namespace {
 // object form (ToJson — sweep rows) and the enveloped report (RunReportJson).
 std::string RecordBodyJson(const RunRecord& record, bool include_wall_clock) {
   std::string out;
-  Append(out, "label", record.label);
-  Append(out, "app", record.app);
-  Append(out, "config", record.vanilla ? std::string("vanilla") : std::string(ToString(record.preset)));
-  Append(out, "mode", std::string(ToString(record.mode)));
-  Append(out, "cores", static_cast<std::uint64_t>(record.cores));
-  Append(out, "watchpoints", static_cast<std::uint64_t>(record.watchpoints));
-  Append(out, "seed", record.seed);
+  AppendField(out, "label", record.label);
+  AppendField(out, "app", record.app);
+  AppendField(out, "config",
+              record.vanilla ? std::string("vanilla") : std::string(ToString(record.preset)));
+  AppendField(out, "mode", std::string(ToString(record.mode)));
+  AppendField(out, "cores", static_cast<std::uint64_t>(record.cores));
+  AppendField(out, "watchpoints", static_cast<std::uint64_t>(record.watchpoints));
+  AppendField(out, "seed", record.seed);
   if (!record.error.empty()) {
-    Append(out, "error", record.error, /*comma=*/false);
+    AppendField(out, "error", record.error, /*comma=*/false);
     return out;
   }
-  Append(out, "cycles", static_cast<std::uint64_t>(record.cycles));
-  Append(out, "virtual_seconds", record.virtual_seconds);
-  Append(out, "instructions", record.instructions);
-  Append(out, "completed", record.completed);
-  Append(out, "deadlocked", record.deadlocked);
-  Append(out, "hit_limit", record.hit_limit);
-  Append(out, "violations", static_cast<std::uint64_t>(record.violations));
-  Append(out, "violations_prevented", static_cast<std::uint64_t>(record.violations_prevented));
-  Append(out, "unique_violating_ars", static_cast<std::uint64_t>(record.unique_violating_ars));
-  Append(out, "false_positive_ars", static_cast<std::uint64_t>(record.false_positive_ars));
+  AppendField(out, "cycles", static_cast<std::uint64_t>(record.cycles));
+  AppendField(out, "virtual_seconds", record.virtual_seconds);
+  AppendField(out, "instructions", record.instructions);
+  AppendField(out, "completed", record.completed);
+  AppendField(out, "deadlocked", record.deadlocked);
+  AppendField(out, "hit_limit", record.hit_limit);
+  AppendField(out, "violations", static_cast<std::uint64_t>(record.violations));
+  AppendField(out, "violations_prevented", static_cast<std::uint64_t>(record.violations_prevented));
+  AppendField(out, "unique_violating_ars", static_cast<std::uint64_t>(record.unique_violating_ars));
+  AppendField(out, "false_positive_ars", static_cast<std::uint64_t>(record.false_positive_ars));
   if (!record.latencies.empty()) {
     out += "\"latencies\":[";
     for (std::size_t i = 0; i < record.latencies.size(); ++i) {
@@ -173,16 +142,16 @@ std::string RecordBodyJson(const RunRecord& record, bool include_wall_clock) {
   }
   if (record.hb_attached) {
     out += "\"hb\":{";
-    Append(out, "races", static_cast<std::uint64_t>(record.hb_races));
-    Append(out, "lockset_only", static_cast<std::uint64_t>(record.hb_lockset_only));
-    Append(out, "accesses", record.hb_stats.accesses_observed);
-    Append(out, "shadow_ops", record.hb_stats.shadow_ops);
-    Append(out, "sync_ops", record.hb_stats.sync_ops);
-    Append(out, "overhead_ops", record.hb_stats.overhead_ops, /*comma=*/false);
+    AppendField(out, "races", static_cast<std::uint64_t>(record.hb_races));
+    AppendField(out, "lockset_only", static_cast<std::uint64_t>(record.hb_lockset_only));
+    AppendField(out, "accesses", record.hb_stats.accesses_observed);
+    AppendField(out, "shadow_ops", record.hb_stats.shadow_ops);
+    AppendField(out, "sync_ops", record.hb_stats.sync_ops);
+    AppendField(out, "overhead_ops", record.hb_stats.overhead_ops, /*comma=*/false);
     out += "},";
   }
   if (include_wall_clock) {
-    Append(out, "wall_ms", record.wall_ms);
+    AppendField(out, "wall_ms", record.wall_ms);
   }
   out += "\"stats\":" + StatsJson(record.stats);
   return out;
@@ -202,10 +171,10 @@ std::string RunReportJson(const RunRecord& record, bool include_wall_clock) {
 std::string SweepReportJson(const std::vector<RunRecord>& records, unsigned workers,
                             double total_wall_ms, bool include_wall_clock) {
   std::string out = report::EnvelopePrefix({"kivati_sweep", 2});
-  Append(out, "runs_total", static_cast<std::uint64_t>(records.size()));
+  AppendField(out, "runs_total", static_cast<std::uint64_t>(records.size()));
   if (include_wall_clock) {
-    Append(out, "workers", static_cast<std::uint64_t>(workers));
-    Append(out, "wall_ms", total_wall_ms);
+    AppendField(out, "workers", static_cast<std::uint64_t>(workers));
+    AppendField(out, "wall_ms", total_wall_ms);
   }
   out += "\"runs\":[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {

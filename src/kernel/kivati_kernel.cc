@@ -47,19 +47,6 @@ std::size_t KivatiKernel::OpenArs(ThreadId tid) const {
   return it == thread_ars_.end() ? 0 : it->second.size();
 }
 
-bool KivatiKernel::ThreadHasArsAtDepth(ThreadId tid, std::uint32_t depth) const {
-  auto it = thread_ars_.find(tid);
-  if (it == thread_ars_.end()) {
-    return false;
-  }
-  for (const auto& entry : it->second) {
-    if (entry.depth == depth) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::optional<unsigned> KivatiKernel::FindLiveWatchpoint(Addr addr) const {
   for (unsigned slot = 0; slot < wps_.size(); ++slot) {
     const WatchpointMeta& wp = wps_[slot];

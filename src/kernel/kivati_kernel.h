@@ -163,7 +163,6 @@ class KivatiKernel {
   const KivatiConfig& config() const { return config_; }
   // Number of ARs the given thread currently has open.
   std::size_t OpenArs(ThreadId tid) const;
-  bool ThreadHasArsAtDepth(ThreadId tid, std::uint32_t depth) const;
 
  private:
   struct ThreadAr {
@@ -187,9 +186,6 @@ class KivatiKernel {
   // All kernel emit sites stream through the hub so every attached sink
   // (EventLog ring, detector backends) observes them.
   TraceHub& events() { return machine_.trace().hub(); }
-  Cycles TimeoutAt() const {
-    return machine_.now() + machine_.costs().FromMs(config_.suspension_timeout_ms);
-  }
 
   // Finds the armed, live watchpoint covering exactly `addr`, if any.
   std::optional<unsigned> FindLiveWatchpoint(Addr addr) const;

@@ -138,9 +138,6 @@ class AddressSpace {
     return addr >= kStackBase + tid * kStackSize && addr < StackTop(tid);
   }
 
-  // Current top of the data bump allocator (useful for bounds in tests).
-  Addr data_break() const { return data_break_; }
-
  private:
   // Sparse backing store: fixed-size chunks materialized (zeroed) on first
   // touch. At 16 KiB a run's resident memory stays near what it touches — a

@@ -86,8 +86,6 @@ class TraceHub {
   // Recomputes the cached mask union (called by sinks via NotifyMaskChanged).
   void RefreshMask();
 
-  std::size_t num_sinks() const { return sinks_.size(); }
-
  private:
   std::vector<TraceSink*> sinks_;
   std::uint32_t mask_ = 0;

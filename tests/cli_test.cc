@@ -4,14 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/report_envelope.h"
 
 namespace kivati {
 namespace {
@@ -48,50 +50,20 @@ CommandResult RunCliStdout(const std::string& args) {
   return RunWithRedirect(args, "2>/dev/null");
 }
 
-// Asserts `text` is exactly one JSON document: an object with balanced
-// braces/brackets outside strings and nothing but whitespace after it. Any
-// human-readable line leaking onto stdout fails the brace scan or shows up
-// as leading/trailing content.
-void ExpectSingleJsonDocument(const std::string& text) {
-  std::size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-    ++i;
+// Asserts `text` is exactly one JSON document, an object, and returns it.
+// Any human-readable line leaking onto stdout, and any string the writer
+// failed to escape, makes the parse fail.
+report::Json ExpectSingleJsonDocument(const std::string& text) {
+  report::Json document;
+  try {
+    document = report::ParseJson(text);
+  } catch (const std::runtime_error& error) {
+    ADD_FAILURE() << error.what() << " in stdout:\n" << text;
+    return document;
   }
-  ASSERT_LT(i, text.size()) << "empty stdout, expected a JSON document";
-  ASSERT_EQ(text[i], '{') << "stdout does not start with a JSON object:\n" << text;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  std::size_t end = std::string::npos;
-  for (; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0) {
-        end = i;
-        break;
-      }
-    }
-  }
-  ASSERT_NE(end, std::string::npos) << "unbalanced JSON on stdout:\n" << text;
-  for (i = end + 1; i < text.size(); ++i) {
-    ASSERT_TRUE(std::isspace(static_cast<unsigned char>(text[i])) != 0)
-        << "trailing content after the JSON document:\n" << text.substr(end + 1);
-  }
+  EXPECT_EQ(document.type, report::Json::Type::kObject) << "stdout is not a JSON object:\n"
+                                                        << text;
+  return document;
 }
 
 std::string ReadFileToString(const std::string& path) {
@@ -523,10 +495,36 @@ TEST_F(CliTest, JsonModesEmitExactlyOneEnvelopeDocument) {
     SCOPED_TRACE(mode.kind + ": " + mode.args);
     const CommandResult result = RunCliStdout(mode.args);
     EXPECT_EQ(result.exit_code, 0) << result.output;
+    const report::Json document = ExpectSingleJsonDocument(result.output);
+    ASSERT_GE(document.object.size(), 2u) << result.output.substr(0, 120);
+    EXPECT_EQ(document.object[0].first, "kind");
+    EXPECT_EQ(document.object[0].second.string, mode.kind);
+    EXPECT_EQ(document.object[1].first, "schema_version");
+    EXPECT_TRUE(document.object[1].second.is_uint);
+  }
+}
+
+// Every report that echoes the source path escapes a control character in
+// it, so each --json mode stays one valid JSON document.
+TEST_F(CliTest, JsonModesEscapeAControlCharacterInTheSourcePath) {
+  const std::string path = (dir_ / "tab\tprog.kv").string();
+  std::filesystem::copy_file(program_, path);
+  // compare takes no --threads; it starts main.
+  std::ofstream(path, std::ios::app) << "void main() { spawn racer(0); spawn racer(1); }\n";
+  const std::string file = "'" + path + "'";
+  for (const std::string& args : {
+           "annotate " + file + " --json",
+           "analyze " + file + " --threads racer:0,racer:1 --json",
+           "run " + file + " --threads racer:0,racer:1 --preset base --seed 9 --json -",
+           "sweep " + file + " --threads racer:0,racer:1 --seeds 1 --json -",
+           "fuzz " + file + " --threads racer:0,racer:1 --seed 7 --schedules 2 --plateau 2 "
+               "--shrink-runs 4 --max-cycles 2000000 --json -",
+           "compare " + file + " --max-cycles 2000000 --json -",
+       }) {
+    SCOPED_TRACE(args);
+    const CommandResult result = RunCliStdout(args);
+    EXPECT_EQ(result.exit_code, 0) << result.output;
     ExpectSingleJsonDocument(result.output);
-    const std::regex envelope("^\\{\"kind\":\"" + mode.kind + "\",\"schema_version\":[0-9]+,");
-    EXPECT_TRUE(std::regex_search(result.output, envelope))
-        << "not an envelope document: " << result.output.substr(0, 120);
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/report_envelope.h"
@@ -167,6 +169,70 @@ TEST(ReportEnvelopeTest, EscapeJsonEscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(report::EscapeJson("a\nb"), "a\\nb");
   EXPECT_EQ(report::EscapeJson("tab\there"), "tab\\there");
   EXPECT_EQ(report::EscapeJson(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
+// The one field writer: `"key":value`, reals at %.6f, strings escaped, and
+// the comma only when asked for.
+TEST(ReportEnvelopeTest, AppendFieldWritesOneMember) {
+  std::string out = "{";
+  report::AppendField(out, "n", std::uint64_t{18446744073709551615u});
+  report::AppendField(out, "r", 0.5);
+  report::AppendField(out, "b", false);
+  report::AppendField(out, "s", std::string("a\tb"), /*comma=*/false);
+  out += "}";
+  EXPECT_EQ(out, "{\"n\":18446744073709551615,\"r\":0.500000,\"b\":false,\"s\":\"a\\tb\"}");
+
+  const report::Json parsed = report::ParseJson(out);
+  ASSERT_EQ(parsed.type, report::Json::Type::kObject);
+  ASSERT_EQ(parsed.object.size(), 4u);
+  EXPECT_TRUE(parsed.object[0].second.is_uint);
+  EXPECT_EQ(parsed.object[0].second.uinteger, 18446744073709551615u);
+  EXPECT_EQ(parsed.object[1].second.number, 0.5);
+  EXPECT_FALSE(parsed.object[1].second.is_uint);
+  EXPECT_EQ(parsed.object[2].second.type, report::Json::Type::kBool);
+  EXPECT_EQ(parsed.Find("s")->string, "a\tb");
+  EXPECT_EQ(parsed.Find("missing"), nullptr);
+}
+
+TEST(ReportEnvelopeTest, ParseJsonReadsBackEveryEscapedByte) {
+  std::string text;
+  for (int c = 0x01; c <= 0x7f; ++c) {
+    text += static_cast<char>(c);
+  }
+  const report::Json parsed = report::ParseJson("\"" + report::EscapeJson(text) + "\"");
+  ASSERT_EQ(parsed.type, report::Json::Type::kString);
+  EXPECT_EQ(parsed.string, text);
+  EXPECT_EQ(report::ParseJson("\"\\u0041\\u007F\"").string, "A\x7f");
+}
+
+TEST(ReportEnvelopeTest, ParseJsonAcceptsSurroundingWhitespace) {
+  const report::Json parsed = report::ParseJson(" \t{\"a\" : [1, true, null]}\r\n \n");
+  ASSERT_EQ(parsed.type, report::Json::Type::kObject);
+  ASSERT_EQ(parsed.Find("a")->array.size(), 3u);
+  EXPECT_EQ(parsed.Find("a")->array[2].type, report::Json::Type::kNull);
+}
+
+TEST(ReportEnvelopeTest, ParseJsonRejectsMalformedDocuments) {
+  // RFC 8259: control characters inside a string must be escaped.
+  EXPECT_THROW(report::ParseJson("\"a\tb\""), std::runtime_error);
+  EXPECT_THROW(report::ParseJson("{\"a\":1}x"), std::runtime_error);
+  EXPECT_THROW(report::ParseJson("{\"a\":1}{}"), std::runtime_error);
+  EXPECT_THROW(report::ParseJson(""), std::runtime_error);
+  EXPECT_THROW(report::ParseJson("\"\\u00zz\""), std::runtime_error);
+  // A code point the reader would have to decode to UTF-8.
+  EXPECT_THROW(report::ParseJson("\"\\u00e9\""), std::runtime_error);
+  EXPECT_THROW(report::ParseJson("\"\\q\""), std::runtime_error);
+  for (const char* number : {"01", "1.", ".5", "+1", "1e", "-", "1.2.3", "0x10"}) {
+    EXPECT_THROW(report::ParseJson(number), std::runtime_error) << number;
+  }
+  EXPECT_FALSE(report::ParseJson("18446744073709551616").is_uint);
+  EXPECT_FALSE(report::ParseJson("-1").is_uint);
+  EXPECT_EQ(report::ParseJson("-1.5e2").number, -150.0);
+
+  // 64 levels of nesting parse; the 65th is refused.
+  EXPECT_NO_THROW(report::ParseJson(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_THROW(report::ParseJson(std::string(65, '[') + std::string(65, ']')),
+               std::runtime_error);
 }
 
 }  // namespace

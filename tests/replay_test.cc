@@ -276,6 +276,14 @@ TEST(ReproArtifactTest, RejectsMalformedJson) {
   EXPECT_NO_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "0")));
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "-1")), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "1e300")), std::runtime_error);
+
+  // The trace's lists must be arrays, not values read as empty lists.
+  EXPECT_NO_THROW(exp::ReproFromJson(ArtifactWith("decisions", "[]")));
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("decisions", "7")), std::runtime_error);
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("checkpoints", "{}")), std::runtime_error);
+  // A raw control character inside a string is not JSON.
+  EXPECT_THROW(exp::ReproFromJson(ArtifactWith("label", "\"a\tb\"")), std::runtime_error);
+  EXPECT_NO_THROW(exp::ReproFromJson(ArtifactWith("label", "\"a\\tb\"")));
 }
 
 TEST(ShrinkTest, ShrinksNssBugToReproducingSubset) {

@@ -32,6 +32,9 @@ MV_REPORT="compare_smoke_multivar.json"
 
 grep -q '"kind":"kivati_compare"' "$REPORT"
 grep -q '"kind":"kivati_compare"' "$MV_REPORT"
+# A parser we did not write checks both reports.
+python3 -m json.tool "$REPORT" >/dev/null
+python3 -m json.tool "$MV_REPORT" >/dev/null
 
 # Everything in the reports is deterministic except host wall time.
 strip() { sed -E 's/"wall_ms":[0-9.]+,//' "$1"; }

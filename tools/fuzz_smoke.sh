@@ -24,6 +24,8 @@ rm -rf "$ARTIFACTS"
   --json "$REPORT"
 
 grep -q '"kind":"kivati_fuzz"' "$REPORT"
+# A parser we did not write checks the report and every artifact.
+python3 -m json.tool "$REPORT" >/dev/null
 grep -q '"errors":\[\]' "$REPORT" \
   || { echo "fuzz candidates reported errors" >&2; exit 1; }
 grep -q '"replay_ok":true' "$REPORT" \
@@ -34,6 +36,7 @@ found=0
 for artifact in "$ARTIFACTS"/repro-*.json; do
   [ -e "$artifact" ] || break
   found=1
+  python3 -m json.tool "$artifact" >/dev/null
   "$KIVATI" replay "$artifact" >/dev/null
   echo "replayed $artifact"
 done

@@ -168,6 +168,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -338,18 +339,31 @@ void AddAnnotatorOptions(exp::OptionTable& table, CliOptions& options) {
              "skip correlated-variable inference and multi-variable fusion");
 }
 
-void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
-  table.Value("--mode", "prevention|bug-finding", [&options](const std::string& value) {
-    return exp::ParseMode(value, &options.mode)
-               ? std::string()
-               : "unknown mode '" + value + "'";
+// --bug NAME, checked against the corpus; `accept` stores the name.
+void AddBugOption(exp::OptionTable& table, const std::string& help,
+                  std::function<void(const std::string&)> accept) {
+  table.Value("--bug", help, [accept = std::move(accept)](const std::string& value) {
+    if (exp::FindCorpusBug(value) == nullptr) {
+      std::string known;
+      for (const std::string& name : exp::CorpusBugNames()) {
+        known += (known.empty() ? "" : ", ") + name;
+      }
+      return "--bug: unknown bug '" + value + "' (known: " + known + ")";
+    }
+    accept(value);
+    return std::string();
   });
+}
+
+void AddPresetOption(exp::OptionTable& table, CliOptions& options) {
   table.Value("--preset", "base|null|syncvars|optimized", [&options](const std::string& value) {
     return exp::ParsePreset(value, &options.preset)
                ? std::string()
                : "unknown preset '" + value + "'";
   });
-  table.Flag("--vanilla", &options.vanilla, "run without Kivati protection");
+}
+
+void AddMaxCyclesOption(exp::OptionTable& table, CliOptions& options) {
   table.Value("--max-cycles", "virtual cycle budget", [&options](const std::string& value) {
     std::uint64_t parsed = 0;
     if (!exp::ParseU64(value, &parsed) || parsed == 0) {
@@ -358,6 +372,59 @@ void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
     options.max_cycles = parsed;
     return std::string();
   });
+}
+
+// --jobs N and its short spelling -j N.
+void AddJobsOptions(exp::OptionTable& table, CliOptions& options) {
+  table.Unsigned("--jobs", &options.jobs, "worker threads (default: host cores)", 1, 1024);
+  table.Value("-j", "worker threads", [&options](const std::string& value) {
+    std::uint64_t parsed = 0;
+    if (!exp::ParseU64(value, &parsed) || parsed == 0 || parsed > 1024) {
+      return "-j: '" + value + "' is not a worker count in [1, 1024]";
+    }
+    options.jobs = static_cast<unsigned>(parsed);
+    return std::string();
+  });
+}
+
+// --apps a,b,...: every name must be a registered app.
+void AddAppsOption(exp::OptionTable& table, CliOptions& options, const std::string& help) {
+  table.Value("--apps", help, [&options](const std::string& value) {
+    std::vector<std::string> apps;
+    const std::string error = SplitCsv(value, &apps);
+    if (!error.empty()) {
+      return "--apps: " + error;
+    }
+    for (const std::string& app : apps) {
+      bool known = false;
+      for (const std::string& name : exp::RegisteredApps()) {
+        known = known || name == app;
+      }
+      if (!known) {
+        return "--apps: unknown app '" + app + "'";
+      }
+    }
+    options.apps = std::move(apps);
+    return std::string();
+  });
+}
+
+void AddAppScaleOptions(exp::OptionTable& table, CliOptions& options) {
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
+}
+
+void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
+  table.Value("--mode", "prevention|bug-finding", [&options](const std::string& value) {
+    return exp::ParseMode(value, &options.mode)
+               ? std::string()
+               : "unknown mode '" + value + "'";
+  });
+  AddPresetOption(table, options);
+  table.Flag("--vanilla", &options.vanilla, "run without Kivati protection");
+  AddMaxCyclesOption(table, options);
   table.String("--whitelist", &options.whitelist_path, "load AR whitelist from FILE");
   table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0,
                exp::kMaxPauseMs);
@@ -382,17 +449,8 @@ exp::OptionTable RunTable(CliOptions& options) {
   exp::OptionTable table;
   AddConfigOptions(table, options);
   AddSingleRunOptions(table, options);
-  table.Value("--bug", "corpus bug to run (e.g. NSS-329072)", [&options](const std::string& value) {
-    if (exp::FindCorpusBug(value) == nullptr) {
-      std::string known;
-      for (const std::string& name : exp::CorpusBugNames()) {
-        known += (known.empty() ? "" : ", ") + name;
-      }
-      return "--bug: unknown bug '" + value + "' (known: " + known + ")";
-    }
-    options.bug = value;
-    return std::string();
-  });
+  AddBugOption(table, "corpus bug to run (e.g. NSS-329072)",
+               [&options](const std::string& bug) { options.bug = bug; });
   table.String("--record-schedule", &options.record_schedule_path,
                "record the schedule and save a repro artifact to FILE");
   table.Flag("--hb", &options.hb,
@@ -406,40 +464,16 @@ exp::OptionTable RunTable(CliOptions& options) {
 
 exp::OptionTable CompareTable(CliOptions& options) {
   exp::OptionTable table;
-  table.Value("--bug", "corpus bug to compare (repeatable; default: all)",
-              [&options](const std::string& value) {
-                if (exp::FindCorpusBug(value) == nullptr) {
-                  std::string known;
-                  for (const std::string& name : exp::CorpusBugNames()) {
-                    known += (known.empty() ? "" : ", ") + name;
-                  }
-                  return "--bug: unknown bug '" + value + "' (known: " + known + ")";
-                }
-                options.compare_bugs.push_back(value);
-                return std::string();
-              });
+  AddBugOption(table, "corpus bug to compare (repeatable; default: all)",
+               [&options](const std::string& bug) { options.compare_bugs.push_back(bug); });
   table.String("--app", &options.app, "compare over a registered app (nss, vlc, ...)");
-  table.Value("--preset", "base|null|syncvars|optimized", [&options](const std::string& value) {
-    return exp::ParsePreset(value, &options.preset)
-               ? std::string()
-               : "unknown preset '" + value + "'";
-  });
-  table.Value("--max-cycles", "virtual cycle budget", [&options](const std::string& value) {
-    std::uint64_t parsed = 0;
-    if (!exp::ParseU64(value, &parsed) || parsed == 0) {
-      return "--max-cycles: '" + value + "' is not a positive integer";
-    }
-    options.max_cycles = parsed;
-    return std::string();
-  });
+  AddPresetOption(table, options);
+  AddMaxCyclesOption(table, options);
   table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.U64("--seed", &options.seed, "scheduler seed");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
-            exp::kMaxAppWorkers);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
-            exp::kMaxAppIterations);
+  AddAppScaleOptions(table, options);
   table.Flag("--multivar", &options.compare_multivar,
              "compare over the multi-variable bug corpus (apps::MultiVarBugCorpus)");
   AddAnnotatorOptions(table, options);
@@ -467,17 +501,8 @@ exp::OptionTable FuzzTable(CliOptions& options) {
   exp::OptionTable table;
   AddConfigOptions(table, options);
   AddSingleRunOptions(table, options);
-  table.Value("--bug", "corpus bug to fuzz (e.g. NSS-329072)", [&options](const std::string& value) {
-    if (exp::FindCorpusBug(value) == nullptr) {
-      std::string known;
-      for (const std::string& name : exp::CorpusBugNames()) {
-        known += (known.empty() ? "" : ", ") + name;
-      }
-      return "--bug: unknown bug '" + value + "' (known: " + known + ")";
-    }
-    options.bug = value;
-    return std::string();
-  });
+  AddBugOption(table, "corpus bug to fuzz (e.g. NSS-329072)",
+               [&options](const std::string& bug) { options.bug = bug; });
   table.Size("--schedules", &options.fuzz_schedules, "candidate-schedule budget", 1);
   table.Size("--plateau", &options.fuzz_plateau,
              "stop after N schedules with no new coverage", 1);
@@ -495,15 +520,7 @@ exp::OptionTable FuzzTable(CliOptions& options) {
   table.Double("--pause-prob", &options.pause_probability, "pause probability", 0.0, 1.0);
   table.Size("--shrink-runs", &options.shrink_runs, "per-discovery shrink budget", 1);
   table.String("--artifacts", &options.artifact_dir, "save shrunk repro artifacts under DIR");
-  table.Unsigned("--jobs", &options.jobs, "worker threads (default: host cores)", 1, 1024);
-  table.Value("-j", "worker threads", [&options](const std::string& value) {
-    std::uint64_t parsed = 0;
-    if (!exp::ParseU64(value, &parsed) || parsed == 0 || parsed > 1024) {
-      return "-j: '" + value + "' is not a worker count in [1, 1024]";
-    }
-    options.jobs = static_cast<unsigned>(parsed);
-    return std::string();
-  });
+  AddJobsOptions(table, options);
   table.String("--json", &options.json_path, "write the fuzz report ('-' = stdout)");
   return table;
 }
@@ -542,10 +559,7 @@ exp::OptionTable AnalyzeTable(CliOptions& options) {
   });
   table.Flag("--json", &options.json_to_stdout,
              "conflict report as JSON on stdout (human report moves to stderr)");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
-            exp::kMaxAppWorkers);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
-            exp::kMaxAppIterations);
+  AddAppScaleOptions(table, options);
   AddAnnotatorOptions(table, options);
   return table;
 }
@@ -576,24 +590,7 @@ exp::OptionTable SweepTable(CliOptions& options) {
   table.Value("--threads", "f[:arg][,...] (FILE sweeps)", [&options](const std::string& value) {
     return ParseThreadsSpec(value, &options.threads);
   });
-  table.Value("--apps", "registered apps to sweep", [&options](const std::string& value) {
-    std::vector<std::string> apps;
-    const std::string error = SplitCsv(value, &apps);
-    if (!error.empty()) {
-      return "--apps: " + error;
-    }
-    for (const std::string& app : apps) {
-      bool known = false;
-      for (const std::string& name : exp::RegisteredApps()) {
-        known = known || name == app;
-      }
-      if (!known) {
-        return "--apps: unknown app '" + app + "'";
-      }
-    }
-    options.apps = std::move(apps);
-    return std::string();
-  });
+  AddAppsOption(table, options, "registered apps to sweep");
   table.Value("--presets", "configurations to sweep", [&options](const std::string& value) {
     std::vector<std::string> items;
     const std::string error = SplitCsv(value, &items);
@@ -642,45 +639,17 @@ exp::OptionTable SweepTable(CliOptions& options) {
                                      &options.watchpoints_list);
               });
   table.Flag("--with-vanilla", &options.with_vanilla, "add unprotected baselines");
-  table.Unsigned("--jobs", &options.jobs, "worker threads (default: host cores)", 1, 1024);
-  table.Value("-j", "worker threads", [&options](const std::string& value) {
-    std::uint64_t parsed = 0;
-    if (!exp::ParseU64(value, &parsed) || parsed == 0 || parsed > 1024) {
-      return "-j: '" + value + "' is not a worker count in [1, 1024]";
-    }
-    options.jobs = static_cast<unsigned>(parsed);
-    return std::string();
-  });
+  AddJobsOptions(table, options);
   table.String("--json", &options.json_path, "write the sweep report ('-' = stdout)");
   table.String("--record-schedule", &options.record_schedule_path,
                "save a repro artifact for the first violating spec");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
-            exp::kMaxAppWorkers);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
-            exp::kMaxAppIterations);
+  AddAppScaleOptions(table, options);
   return table;
 }
 
 exp::OptionTable BenchInterpTable(CliOptions& options) {
   exp::OptionTable table;
-  table.Value("--apps", "registered apps to bench", [&options](const std::string& value) {
-    std::vector<std::string> apps;
-    const std::string error = SplitCsv(value, &apps);
-    if (!error.empty()) {
-      return "--apps: " + error;
-    }
-    for (const std::string& app : apps) {
-      bool known = false;
-      for (const std::string& name : exp::RegisteredApps()) {
-        known = known || name == app;
-      }
-      if (!known) {
-        return "--apps: unknown app '" + app + "'";
-      }
-    }
-    options.apps = std::move(apps);
-    return std::string();
-  });
+  AddAppsOption(table, options, "registered apps to bench");
   table.Value("--configs", "vanilla and/or presets", [&options](const std::string& value) {
     std::vector<std::string> configs;
     const std::string error = SplitCsv(value, &configs);
@@ -704,18 +673,8 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
   });
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
-  table.Value("--max-cycles", "virtual cycle budget", [&options](const std::string& value) {
-    std::uint64_t parsed = 0;
-    if (!exp::ParseU64(value, &parsed) || parsed == 0) {
-      return "--max-cycles: '" + value + "' is not a positive integer";
-    }
-    options.max_cycles = parsed;
-    return std::string();
-  });
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
-            exp::kMaxAppWorkers);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
-            exp::kMaxAppIterations);
+  AddMaxCyclesOption(table, options);
+  AddAppScaleOptions(table, options);
   table.Flag("--block-only", &options.block_only, "measure only the block engine");
   table.Flag("--fast-only", &options.fast_only, "measure only the optimized loop");
   table.String("--json", &options.json_path, "machine-readable report ('-' = stdout)");
