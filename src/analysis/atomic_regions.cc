@@ -1,23 +1,15 @@
 #include "analysis/atomic_regions.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
-#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 
 namespace kivati {
 namespace {
-
-// A shared-variable access site inside one function. One op usually hosts a
-// single site; a call op under inter-procedural analysis hosts one site per
-// global its callee may touch.
-struct Site {
-  std::size_t op = 0;
-  int identity = 0;  // dense id of the variable identity
-  AccessType type = AccessType::kRead;
-};
 
 // Variable identity (the paper pairs by base-variable name; the precision
 // extensions refine it): space+index of the base (pointer locals collapsed
@@ -108,11 +100,9 @@ std::unordered_map<int, std::int64_t> SingleConstDefs(const MirFunction& functio
   return result;
 }
 
-// Per-function pairing analysis. Path-insensitive forward data flow: the
-// state at a program point maps each shared variable to the set of access
-// sites that may be the most recent access to it on some path ("reaching
-// accesses"). When an access executes, it pairs with every reaching access
-// of the same variable, then replaces the reaching set.
+// Per-function pairing analysis: collects the function's shared-access
+// sites and CFG predecessors into a PairingProblem, solves it, and merges
+// the pairs sharing a first access into one AR each.
 class PairAnalysis {
  public:
   PairAnalysis(const MirModule& module, std::size_t function_index, const LsvResult& lsv,
@@ -124,37 +114,28 @@ class PairAnalysis {
         options_(options),
         summaries_(summaries) {}
 
-  FunctionAnnotations Run(ArId& next_id, std::unordered_set<ArId>& sync_ars,
-                          std::vector<ArDebugInfo>& infos) {
+  FunctionAnnotations Run(AccessPairs (*solver)(const PairingProblem&), ArId& next_id,
+                          std::unordered_set<ArId>& sync_ars, std::vector<ArDebugInfo>& infos) {
     CollectSites();
-    if (sites_.empty()) {
+    if (problem_.sites.empty()) {
       return {};
     }
     ComputePredecessors();
-    Solve();
-    return BuildAnnotations(next_id, sync_ars, infos);
+    return BuildAnnotations(solver(problem_), next_id, sync_ars, infos);
   }
 
  private:
-  using State = std::vector<std::set<int>>;  // per identity: reaching site ids
-
   int IdentityOf(const IdentityKey& key) {
     auto [it, inserted] = identity_ids_.emplace(key, static_cast<int>(identity_ids_.size()));
     return it->second;
   }
 
   void AddSite(std::size_t op, const IdentityKey& key, AccessType type, const VarRef& var) {
-    Site site;
-    site.op = op;
-    site.identity = IdentityOf(key);
-    site.type = type;
-    sites_of_op_[op].push_back(static_cast<int>(sites_.size()));
+    problem_.sites.push_back(AccessSite{op, IdentityOf(key), type});
     site_var_.push_back(var);
-    sites_.push_back(site);
   }
 
   void CollectSites() {
-    sites_of_op_.assign(function_.ops.size(), {});
     AliasClasses aliases(function_);
     const auto const_defs =
         options_.precise_aliasing ? SingleConstDefs(function_) : std::unordered_map<int, std::int64_t>{};
@@ -194,75 +175,29 @@ class PairAnalysis {
         }
       }
     }
-    num_identities_ = static_cast<int>(identity_ids_.size());
+    problem_.num_identities = static_cast<int>(identity_ids_.size());
   }
 
   void ComputePredecessors() {
-    preds_.assign(function_.ops.size(), {});
+    problem_.preds.assign(function_.ops.size(), {});
     std::vector<std::size_t> succs;
     for (std::size_t i = 0; i < function_.ops.size(); ++i) {
       SuccessorsOf(function_, i, succs);
       for (const std::size_t s : succs) {
-        preds_[s].push_back(i);
+        problem_.preds[s].push_back(i);
       }
     }
   }
 
-  // Applies op i's transfer function to `state`; records pairs.
-  void Transfer(std::size_t i, State& state) {
-    for (const int site_id : sites_of_op_[i]) {
-      const Site& site = sites_[static_cast<std::size_t>(site_id)];
-      for (const int prev : state[static_cast<std::size_t>(site.identity)]) {
-        if (prev != site_id) {
-          pairs_.insert({prev, site_id});
-        }
-      }
-      state[static_cast<std::size_t>(site.identity)] = {site_id};
-    }
-  }
-
-  static bool Merge(State& into, const State& from) {
-    bool changed = false;
-    for (std::size_t i = 0; i < into.size(); ++i) {
-      for (const int s : from[i]) {
-        changed |= into[i].insert(s).second;
-      }
-    }
-    return changed;
-  }
-
-  void Solve() {
-    const std::size_t n = function_.ops.size();
-    std::vector<State> in(n, State(static_cast<std::size_t>(num_identities_)));
-    std::vector<State> out(n, State(static_cast<std::size_t>(num_identities_)));
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        State merged(static_cast<std::size_t>(num_identities_));
-        for (const std::size_t p : preds_[i]) {
-          Merge(merged, out[p]);
-        }
-        if (Merge(in[i], merged)) {
-          changed = true;
-        }
-        State next = in[i];
-        Transfer(i, next);
-        if (Merge(out[i], next)) {
-          changed = true;
-        }
-      }
-    }
-  }
-
-  FunctionAnnotations BuildAnnotations(ArId& next_id, std::unordered_set<ArId>& sync_ars,
+  FunctionAnnotations BuildAnnotations(const AccessPairs& pairs, ArId& next_id,
+                                       std::unordered_set<ArId>& sync_ars,
                                        std::vector<ArDebugInfo>& infos) {
     FunctionAnnotations annotations;
     // Group pairs by first site; each group is one AR (Figure 6).
     std::map<int, FunctionAr> by_first;
-    for (const auto& [first, second] : pairs_) {
-      const Site& a = sites_[static_cast<std::size_t>(first)];
-      const Site& b = sites_[static_cast<std::size_t>(second)];
+    for (const auto& [first, second] : pairs) {
+      const AccessSite& a = problem_.sites[static_cast<std::size_t>(first)];
+      const AccessSite& b = problem_.sites[static_cast<std::size_t>(second)];
       FunctionAr& ar = by_first[first];
       if (ar.first_op < 0) {
         ar.var = site_var_[static_cast<std::size_t>(first)];
@@ -306,16 +241,79 @@ class PairAnalysis {
   const AnnotateOptions& options_;
   const std::vector<GlobalAccessSummary>* summaries_;
 
-  std::vector<Site> sites_;
-  std::vector<VarRef> site_var_;
-  std::vector<std::vector<int>> sites_of_op_;
+  PairingProblem problem_;
+  std::vector<VarRef> site_var_;  // per site: the variable it accesses
   std::map<IdentityKey, int> identity_ids_;
-  int num_identities_ = 0;
-  std::vector<std::vector<std::size_t>> preds_;
-  std::set<std::pair<int, int>> pairs_;
 };
 
 }  // namespace
+
+AccessPairs SolveAccessPairs(const PairingProblem& problem) {
+  using Word = std::uint64_t;
+  const std::size_t num_ops = problem.preds.size();
+  const std::size_t num_sites = problem.sites.size();
+  const std::size_t words = (num_sites + 63) / 64;
+  const auto bit = [](std::size_t site) { return Word{1} << (site % 64); };
+  // Site bitsets, `words` words each: one mask per variable identity; per
+  // op, the sites that may be the most recent access of their identity
+  // after it ("reaching accesses"); per first site, the second sites it
+  // pairs with. An op's input needs no storage: it is the OR of its
+  // predecessors' outputs, which only grow, so a pass in which no output
+  // grows has met the fixed point.
+  std::vector<Word> masks(static_cast<std::size_t>(problem.num_identities) * words, 0);
+  for (std::size_t s = 0; s < num_sites; ++s) {
+    masks[static_cast<std::size_t>(problem.sites[s].identity) * words + s / 64] |= bit(s);
+  }
+  std::vector<Word> out(num_ops * words, 0);
+  std::vector<Word> paired(num_sites * words, 0);
+  std::vector<Word> state(words);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::size_t site = 0;
+    for (std::size_t i = 0; i < num_ops; ++i) {
+      std::fill(state.begin(), state.end(), 0);
+      for (const std::size_t p : problem.preds[i]) {
+        const Word* from = &out[p * words];
+        for (std::size_t w = 0; w < words; ++w) {
+          state[w] |= from[w];
+        }
+      }
+      // Each access pairs with every reaching access of its identity, then
+      // becomes the only one.
+      for (; site < num_sites && problem.sites[site].op == i; ++site) {
+        const Word* mask =
+            &masks[static_cast<std::size_t>(problem.sites[site].identity) * words];
+        for (std::size_t w = 0; w < words; ++w) {
+          for (Word reach = state[w] & mask[w]; reach != 0; reach &= reach - 1) {
+            const std::size_t first = w * 64 + static_cast<std::size_t>(std::countr_zero(reach));
+            if (first != site) {
+              paired[first * words + site / 64] |= bit(site);
+            }
+          }
+          state[w] &= ~mask[w];
+        }
+        state[site / 64] |= bit(site);
+      }
+      Word* into = &out[i * words];
+      for (std::size_t w = 0; w < words; ++w) {
+        changed |= (state[w] & ~into[w]) != 0;
+        into[w] |= state[w];
+      }
+    }
+  }
+  AccessPairs pairs;
+  for (std::size_t first = 0; first < num_sites; ++first) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (Word seconds = paired[first * words + w]; seconds != 0; seconds &= seconds - 1) {
+        pairs.emplace_back(static_cast<int>(first),
+                           static_cast<int>(w * 64 + static_cast<std::size_t>(
+                                                         std::countr_zero(seconds))));
+      }
+    }
+  }
+  return pairs;
+}
 
 std::vector<GlobalAccessSummary> ComputeCallSummaries(const MirModule& module) {
   std::vector<GlobalAccessSummary> summaries(module.functions.size());
@@ -357,7 +355,8 @@ std::vector<GlobalAccessSummary> ComputeCallSummaries(const MirModule& module) {
   return summaries;
 }
 
-ModuleAnnotations Annotate(const MirModule& module, const AnnotateOptions& options) {
+ModuleAnnotations Annotate(const MirModule& module, const AnnotateOptions& options,
+                           AccessPairs (*solver)(const PairingProblem&)) {
   ModuleAnnotations annotations;
   std::vector<GlobalAccessSummary> summaries;
   ReturnSharedness returns;
@@ -374,7 +373,7 @@ ModuleAnnotations Annotate(const MirModule& module, const AnnotateOptions& optio
                               : ComputeLsv(module.functions[f]);
     annotations.functions.push_back(
         PairAnalysis(module, f, lsv, options, options.interprocedural ? &summaries : nullptr)
-            .Run(next_id, annotations.sync_ars, annotations.infos));
+            .Run(solver, next_id, annotations.sync_ars, annotations.infos));
   }
   return annotations;
 }

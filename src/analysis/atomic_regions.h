@@ -100,9 +100,35 @@ struct AnnotateOptions {
   bool precise_aliasing = false;
 };
 
+// One function's access-pair data flow, as its solver sees it. A site is
+// one shared-variable access: an op usually hosts one, and a call op under
+// inter-procedural analysis hosts one per global its callee may touch.
+struct AccessSite {
+  std::size_t op = 0;
+  int identity = 0;  // dense id of the variable identity, < num_identities
+  AccessType type = AccessType::kRead;
+};
+struct PairingProblem {
+  // Site ids index `sites`, which is in op order; one op's sites apply in
+  // the order listed.
+  std::vector<AccessSite> sites;
+  std::vector<std::vector<std::size_t>> preds;  // per op: CFG predecessors
+  int num_identities = 0;
+};
+
+// Every (first, second) pair of distinct site ids such that `first` may be
+// the most recent access to `second`'s identity when `second` executes,
+// sorted. Path-insensitive forward data flow (like reaching definitions,
+// but reads reach too), iterated round-robin over the ops to the fixed
+// point. Each op's reaching state is a bitset over the function's sites.
+using AccessPairs = std::vector<std::pair<int, int>>;
+AccessPairs SolveAccessPairs(const PairingProblem& problem);
+
 // Runs LSV + pairing over every function; assigns globally unique AR ids
-// starting at 1.
-ModuleAnnotations Annotate(const MirModule& module, const AnnotateOptions& options = {});
+// starting at 1. `solver` replaces SolveAccessPairs, so tests can check it
+// against a reference solver.
+ModuleAnnotations Annotate(const MirModule& module, const AnnotateOptions& options = {},
+                           AccessPairs (*solver)(const PairingProblem&) = SolveAccessPairs);
 
 // The (read, write) may-access sets over globals, per function, transitively
 // including callees. Exposed for tests and tools.

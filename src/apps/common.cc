@@ -43,6 +43,7 @@ App AssembleApp(const std::string& name, const std::string& source,
   app.workload.ars_watch_required = compiled->conflict.watch_required;
   app.workload.ars_pruned = compiled->conflict.pruned.size();
   app.compiled = std::move(compiled);
+  app.source = source;
   return app;
 }
 

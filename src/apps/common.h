@@ -23,6 +23,7 @@ namespace apps {
 struct App {
   Workload workload;
   std::shared_ptr<const CompiledProgram> compiled;
+  std::string source;  // the mini-C text `compiled` was compiled from
 };
 
 // Scale knobs common to the performance workloads. Defaults are sized so a

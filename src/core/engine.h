@@ -38,7 +38,7 @@ class Engine {
   // (it must have been built from that same program); null builds a private
   // one. Harnesses running the same workload many times — sweep grids, the
   // shrinker's ddmin candidates — pass a shared image to skip the per-run
-  // program copy and rollback-table derivation (docs/performance.md).
+  // program copy and block translation (docs/performance.md).
   Engine(const Workload& workload, EngineOptions options,
          std::shared_ptr<const ProgramImage> image = nullptr);
 

@@ -110,6 +110,7 @@ CompareReport RunCompare(const CompareOptions& options) {
   } else if (!options.source_path.empty()) {
     RunSpec spec = base_spec();
     spec.source_path = options.source_path;
+    spec.threads = options.threads;
     spec.label = options.source_path;
     specs.push_back(std::move(spec));
   } else {

@@ -27,6 +27,8 @@ struct CompareOptions {
   std::vector<std::string> bugs;
   std::string app;
   std::string source_path;
+  // Threads a source file starts, as (function, argument); empty = main:0.
+  std::vector<std::pair<std::string, std::uint64_t>> threads;
 
   apps::LoadScale scale;
   MachineConfig machine;

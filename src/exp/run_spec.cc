@@ -150,9 +150,10 @@ std::shared_ptr<const apps::App> ResolveApp(const RunSpec& spec) {
       compile_options.conflict.roots.emplace_back(function, 1);
     }
   }
-  auto compiled = std::make_shared<CompiledProgram>(
-      CompileSource(ReadFileOrThrow(spec.source_path), compile_options));
+  std::string source = ReadFileOrThrow(spec.source_path);
+  auto compiled = std::make_shared<CompiledProgram>(CompileSource(source, compile_options));
   auto app = std::make_shared<apps::App>();
+  app->source = std::move(source);
   app->workload.name = spec.source_path;
   app->workload.program = compiled->program;
   app->workload.threads = std::move(threads);

@@ -51,8 +51,8 @@ struct RunSpec {
   // Optional prebuilt ProgramImage for the resolved workload's program.
   // Harnesses that run one workload many times (sweeps, the shrinker) set
   // this so every Engine shares the image instead of re-copying the program
-  // and re-deriving its rollback table per run (docs/performance.md). Must
-  // match the resolved workload; leave null otherwise.
+  // and re-translating it per run (docs/performance.md). Must match the
+  // resolved workload; leave null otherwise.
   std::shared_ptr<const ProgramImage> image;
 
   // Threads to start for source_path workloads: (function, r0 argument).

@@ -130,9 +130,9 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options) : options_(std::move(o
 
 std::vector<RunRecord> ExperimentRunner::RunAll(const std::vector<RunSpec>& specs) {
   // Resolve each unique registered app once; every spec that names it shares
-  // the immutable compiled App and its ProgramImage (program + rollback
-  // table), so engines across the sweep skip the per-run program copy and
-  // rollback derivation. Source-file and prebuilt specs pass through
+  // the immutable compiled App and its ProgramImage (program + block
+  // translation), so engines across the sweep skip the per-run program copy
+  // and translation. Source-file and prebuilt specs pass through
   // untouched.
   struct CachedApp {
     std::shared_ptr<const apps::App> app;

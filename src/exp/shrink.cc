@@ -25,7 +25,7 @@ class CandidateRunner {
     app_ = ResolveApp(base_);
     // Every ddmin candidate builds a fresh Engine for the same program;
     // share one ProgramImage so candidates skip the per-run program copy
-    // and rollback-table derivation.
+    // and block translation.
     base_.image = MakeProgramImage(app_->workload.program);
     budget_ = base_.budget.value_or(app_->workload.default_max_cycles);
     // Slice width: coarse enough that the slicing loop is cheap, fine

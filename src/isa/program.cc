@@ -126,7 +126,9 @@ Program ProgramBuilder::Build() {
   program.functions_ = std::move(functions_);
   for (std::size_t i = 0; i < program.functions_.size(); ++i) {
     FunctionInfo& f = program.functions_[i];
-    f.entry = program.pcs_[f.first_index];
+    // An empty function at the end of the text starts at text_end.
+    f.entry = f.first_index < program.pcs_.size() ? program.pcs_[f.first_index]
+                                                  : program.text_end_;
     program.function_by_name_.emplace(f.name, i);
     if (f.first_index < f.end_index) {
       program.functions_by_pc_.push_back(i);

@@ -12,12 +12,16 @@
 // not the successor of the call. The table therefore also records every
 // function entry PC; the trap handler detects this case and recovers the
 // call site from the return address on the stack.
+//
+// Here the pre-scan needs no table of its own: the Program's dense PC table
+// already names the instruction starting at every PC, and the instruction
+// ending at `next_pc` is the one before it. Only the function entries are
+// copied out, sorted for binary search.
 #ifndef KIVATI_ISA_ROLLBACK_TABLE_H_
 #define KIVATI_ISA_ROLLBACK_TABLE_H_
 
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "isa/program.h"
 
@@ -25,7 +29,7 @@ namespace kivati {
 
 class RollbackTable {
  public:
-  // Scans `program` and records all memory-accessing instructions.
+  // Reads `program`, which must outlive the table.
   explicit RollbackTable(const Program& program);
 
   // Maps the PC following a memory-accessing instruction back to that
@@ -36,15 +40,15 @@ class RollbackTable {
 
   // True if `pc` is the first instruction of some subroutine — i.e. control
   // arrived via a call, and the call site must be recovered from the return
-  // address on the stack.
+  // address on the stack. Empty functions count, at their entry PC.
   bool IsFunctionEntry(ProgramCounter pc) const;
 
-  // Number of memory-accessing instructions recorded (for tests/stats).
-  std::size_t entries() const { return next_to_prev_.size(); }
+  // Number of memory-accessing instructions (for tests/stats).
+  std::size_t entries() const;
 
  private:
-  std::unordered_map<ProgramCounter, ProgramCounter> next_to_prev_;
-  std::unordered_set<ProgramCounter> function_entries_;
+  const Program& program_;
+  std::vector<ProgramCounter> function_entries_;  // sorted
 };
 
 }  // namespace kivati

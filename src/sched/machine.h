@@ -69,13 +69,14 @@ struct MachineConfig {
   bool block_translate = true;
 };
 
-// The immutable per-program state a Machine executes: the program plus its
-// derived rollback table. Building a RollbackTable scans the whole program,
-// so harnesses that construct many engines for one workload (the shrinker's
-// ddmin candidates, sweep grids) share one image instead of re-deriving it
-// per run (docs/performance.md).
+// The immutable per-program state a Machine executes: the program plus what
+// is derived from it. Harnesses that construct many engines for one
+// workload (the shrinker's ddmin candidates, sweep grids) share one image
+// instead of copying the program and re-deriving its translation per run
+// (docs/performance.md).
 struct ProgramImage {
   Program program;
+  // Reads `program` in place, so the image is neither copied nor moved.
   RollbackTable rollback;
   // Basic-block translation (exec/block_translate.h), derived once here so
   // every machine sharing the image — sweep grids, fuzz and shrink workers
@@ -84,6 +85,8 @@ struct ProgramImage {
 
   explicit ProgramImage(Program p)
       : program(std::move(p)), rollback(program), blocks(program) {}
+  ProgramImage(const ProgramImage&) = delete;
+  ProgramImage& operator=(const ProgramImage&) = delete;
 };
 
 std::shared_ptr<const ProgramImage> MakeProgramImage(Program program);

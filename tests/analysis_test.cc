@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include "analysis/atomic_regions.h"
 #include "analysis/conflict.h"
 #include "analysis/correlation.h"
 #include "analysis/lsv.h"
 #include "analysis/mir.h"
 #include "analysis/mir_builder.h"
+#include "apps/bugs.h"
+#include "apps/workloads.h"
 #include "lang/parser.h"
 
 namespace kivati {
@@ -504,6 +511,158 @@ TEST(AtomicRegionTest, MergedRegionCitesFirstAccessLine) {
   ASSERT_NE(still_merged, nullptr);
   EXPECT_EQ(still_merged->num_ends, 2);
   EXPECT_EQ(still_merged->group, 0);
+}
+
+// --- The bitset pairing solver against the reference solver -----------------
+
+// The pairing data flow with one std::set of reaching site ids per identity,
+// merged set by set into stored in and out states per op, iterated
+// round-robin to the fixed point: the solver SolveAccessPairs must match.
+AccessPairs ReferenceSolve(const PairingProblem& problem) {
+  using State = std::vector<std::set<int>>;  // per identity: reaching site ids
+  const std::size_t n = problem.preds.size();
+  const std::size_t identities = static_cast<std::size_t>(problem.num_identities);
+  std::vector<std::vector<int>> sites_of_op(n);
+  for (std::size_t s = 0; s < problem.sites.size(); ++s) {
+    sites_of_op[problem.sites[s].op].push_back(static_cast<int>(s));
+  }
+  std::set<std::pair<int, int>> pairs;
+  const auto transfer = [&](std::size_t i, State& state) {
+    for (const int site_id : sites_of_op[i]) {
+      const std::size_t identity =
+          static_cast<std::size_t>(problem.sites[static_cast<std::size_t>(site_id)].identity);
+      for (const int prev : state[identity]) {
+        if (prev != site_id) {
+          pairs.insert({prev, site_id});
+        }
+      }
+      state[identity] = {site_id};
+    }
+  };
+  const auto merge = [](State& into, const State& from) {
+    bool changed = false;
+    for (std::size_t i = 0; i < into.size(); ++i) {
+      for (const int s : from[i]) {
+        changed |= into[i].insert(s).second;
+      }
+    }
+    return changed;
+  };
+  std::vector<State> in(n, State(identities));
+  std::vector<State> out(n, State(identities));
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      State merged(identities);
+      for (const std::size_t p : problem.preds[i]) {
+        merge(merged, out[p]);
+      }
+      changed |= merge(in[i], merged);
+      State next = in[i];
+      transfer(i, next);
+      changed |= merge(out[i], next);
+    }
+  }
+  return {pairs.begin(), pairs.end()};
+}
+
+// The largest problem CheckedSolve has seen.
+std::size_t largest_sites = 0;
+int largest_identities = 0;
+
+// Runs both solvers on one function's problem and expects equal pairs.
+AccessPairs CheckedSolve(const PairingProblem& problem) {
+  AccessPairs expected = ReferenceSolve(problem);
+  EXPECT_EQ(SolveAccessPairs(problem), expected);
+  largest_sites = std::max(largest_sites, problem.sites.size());
+  largest_identities = std::max(largest_identities, problem.num_identities);
+  return expected;
+}
+
+void ExpectSameAnnotations(const ModuleAnnotations& actual, const ModuleAnnotations& expected) {
+  ASSERT_EQ(actual.infos.size(), expected.infos.size());
+  for (std::size_t i = 0; i < actual.infos.size(); ++i) {
+    const ArDebugInfo& a = actual.infos[i];
+    const ArDebugInfo& e = expected.infos[i];
+    EXPECT_EQ(a.id, e.id);
+    EXPECT_EQ(a.function, e.function);
+    EXPECT_EQ(a.variable, e.variable);
+    EXPECT_EQ(a.line, e.line);
+    EXPECT_EQ(a.first_type, e.first_type);
+    EXPECT_EQ(a.watch, e.watch);
+    EXPECT_EQ(a.is_sync, e.is_sync);
+    EXPECT_EQ(a.num_ends, e.num_ends);
+  }
+  ASSERT_EQ(actual.functions.size(), expected.functions.size());
+  for (std::size_t f = 0; f < actual.functions.size(); ++f) {
+    const std::vector<FunctionAr>& a = actual.functions[f].ars;
+    const std::vector<FunctionAr>& e = expected.functions[f].ars;
+    ASSERT_EQ(a.size(), e.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, e[i].id);
+      EXPECT_EQ(a[i].first_op, e[i].first_op);
+      EXPECT_EQ(a[i].ends, e[i].ends);
+      EXPECT_EQ(a[i].watch, e[i].watch);
+      EXPECT_EQ(a[i].is_sync, e[i].is_sync);
+      EXPECT_EQ(a[i].needs_replica, e[i].needs_replica);
+    }
+  }
+  EXPECT_EQ(actual.sync_ars, expected.sync_ars);
+}
+
+// Annotates `source` with both solvers under all four annotator
+// configurations.
+void ExpectSolversAgree(const std::string& source, const std::string& name) {
+  const MirModule module = Build(source);
+  for (const bool interprocedural : {false, true}) {
+    for (const bool precise_aliasing : {false, true}) {
+      SCOPED_TRACE(name + (interprocedural ? " +interprocedural" : "") +
+                   (precise_aliasing ? " +precise-aliasing" : ""));
+      AnnotateOptions options;
+      options.interprocedural = interprocedural;
+      options.precise_aliasing = precise_aliasing;
+      ExpectSameAnnotations(Annotate(module, options), Annotate(module, options, CheckedSolve));
+    }
+  }
+}
+
+TEST(PairSolverTest, MatchesReferenceOnEveryAppAndCorpusBug) {
+  for (const apps::App& app : apps::AllPerformanceApps()) {
+    ExpectSolversAgree(app.source, app.workload.name);
+  }
+  for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
+    for (const apps::BugInfo& bug : *corpus) {
+      const apps::App app = apps::MakeBugApp(bug);
+      ExpectSolversAgree(app.source, app.workload.name);
+    }
+  }
+}
+
+// No app or corpus function has more than 64 access sites, so only a
+// generated one reaches states of several words: 150 sites over four
+// globals, under branches and a loop whose back edge carries the last
+// word's sites to the first's.
+TEST(PairSolverTest, MatchesReferenceAcrossThreeStateWords) {
+  std::ostringstream source;
+  source << "int g0;\nint g1;\nint g2;\nint g3;\nvoid big(int x) {\n"
+         << "  for (int i = 0; i < x; i = i + 1) {\n";
+  for (int s = 0; s < 50; ++s) {
+    const std::string assign = "g" + std::to_string((s * 5 + 1) % 4) + " = g" +
+                               std::to_string((s * 3 + 2) % 4) + " + g" +
+                               std::to_string((s * 7) % 4) + ";";
+    if (s % 4 == 1) {
+      source << "    if (i == " << s << ") { " << assign << " }\n";
+    } else {
+      source << "    " << assign << "\n";
+    }
+  }
+  source << "  }\n}\n";
+  largest_sites = 0;
+  largest_identities = 0;
+  ExpectSolversAgree(source.str(), "generated");
+  EXPECT_GE(largest_sites, 130u);
+  EXPECT_GE(largest_identities, 3);
 }
 
 }  // namespace

@@ -384,10 +384,17 @@ TEST_F(CliTest, ParseErrorsSurface) {
   EXPECT_NE(result.output.find("expected"), std::string::npos);
 }
 
+// A usage error names the bad option, then lists the command's options
+// with their help on stderr.
 TEST_F(CliTest, UnknownOptionFails) {
-  const CommandResult result = RunCli("run " + program_ + " --bogus");
-  EXPECT_NE(result.exit_code, 0);
-  EXPECT_NE(result.output.find("unknown option"), std::string::npos);
+  const CommandResult result =
+      RunWithRedirect("run " + program_ + " --bogus", "2>&1 >/dev/null");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("kivati: unknown option '--bogus'"), std::string::npos)
+      << result.output;
+  EXPECT_TRUE(std::regex_search(result.output,
+                                std::regex("\n  --max-cycles +virtual cycle budget\n")))
+      << result.output;
 }
 
 TEST_F(CliTest, MalformedNumericOptionsAreRejected) {
@@ -509,8 +516,6 @@ TEST_F(CliTest, JsonModesEmitExactlyOneEnvelopeDocument) {
 TEST_F(CliTest, JsonModesEscapeAControlCharacterInTheSourcePath) {
   const std::string path = (dir_ / "tab\tprog.kv").string();
   std::filesystem::copy_file(program_, path);
-  // compare takes no --threads; it starts main.
-  std::ofstream(path, std::ios::app) << "void main() { spawn racer(0); spawn racer(1); }\n";
   const std::string file = "'" + path + "'";
   for (const std::string& args : {
            "annotate " + file + " --json",
@@ -519,7 +524,7 @@ TEST_F(CliTest, JsonModesEscapeAControlCharacterInTheSourcePath) {
            "sweep " + file + " --threads racer:0,racer:1 --seeds 1 --json -",
            "fuzz " + file + " --threads racer:0,racer:1 --seed 7 --schedules 2 --plateau 2 "
                "--shrink-runs 4 --max-cycles 2000000 --json -",
-           "compare " + file + " --max-cycles 2000000 --json -",
+           "compare " + file + " --threads racer:0,racer:1 --max-cycles 2000000 --json -",
        }) {
     SCOPED_TRACE(args);
     const CommandResult result = RunCliStdout(args);
@@ -611,6 +616,18 @@ TEST_F(CliTest, CompareRunsBothBackendsSideBySide) {
   const CommandResult unknown = RunCli("compare --bug nosuch-1");
   EXPECT_NE(unknown.exit_code, 0);
   EXPECT_NE(unknown.output.find("unknown bug"), std::string::npos);
+}
+
+// compare FILE starts the --threads list, as run does; without it, main.
+TEST_F(CliTest, CompareFileStartsTheThreadsList) {
+  const CommandResult result =
+      RunCli("compare " + program_ + " --threads racer:0,racer:1 --max-cycles 2000000");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("kivati"), std::string::npos) << result.output;
+
+  const CommandResult no_main = RunCli("compare " + program_ + " --max-cycles 2000000");
+  EXPECT_EQ(no_main.exit_code, 2) << no_main.output;
+  EXPECT_NE(no_main.output.find("no function 'main'"), std::string::npos) << no_main.output;
 }
 
 TEST_F(CliTest, RecordedScheduleReplaysByteIdentical) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+
+#include "apps/bugs.h"
+#include "apps/workloads.h"
 #include "isa/disasm.h"
 #include "isa/instruction.h"
 #include "isa/program.h"
@@ -221,6 +228,83 @@ TEST(RollbackTableTest, FunctionEntriesRecorded) {
   EXPECT_TRUE(table.IsFunctionEntry(p.FindFunction("main")->entry));
   EXPECT_TRUE(table.IsFunctionEntry(p.FindFunction("helper")->entry));
   EXPECT_FALSE(table.IsFunctionEntry(p.text_end()));
+}
+
+// The lookups derived by brute force, as the pre-processing pass states
+// them: each memory-accessing instruction's end PC maps back to its start,
+// and every function's entry PC is an entry. The table must agree at every
+// PC, mid-instruction bytes and the bytes past the text included.
+void ExpectMatchesBruteForce(const Program& p, const std::string& name) {
+  std::map<ProgramCounter, ProgramCounter> next_to_prev;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (AccessesMemory(p.At(i).op)) {
+      next_to_prev.emplace(p.PcOf(i) + EncodedLength(p.At(i)), p.PcOf(i));
+    }
+  }
+  std::set<ProgramCounter> entries;
+  for (const FunctionInfo& f : p.functions()) {
+    entries.insert(f.entry);
+  }
+  const RollbackTable table(p);
+  EXPECT_EQ(table.entries(), next_to_prev.size()) << name;
+  for (ProgramCounter pc = 0; pc < p.text_end() + 16; ++pc) {
+    const auto it = next_to_prev.find(pc);
+    const std::optional<ProgramCounter> prev =
+        it == next_to_prev.end() ? std::nullopt : std::optional<ProgramCounter>(it->second);
+    ASSERT_EQ(table.PrevAccessingPc(pc), prev) << name << " pc=" << pc;
+    ASSERT_EQ(table.IsFunctionEntry(pc), entries.contains(pc)) << name << " pc=" << pc;
+  }
+}
+
+TEST(RollbackTableTest, MatchesBruteForceOnEveryAppAndCorpusBug) {
+  for (const apps::App& app : apps::AllPerformanceApps()) {
+    ExpectMatchesBruteForce(app.workload.program, app.workload.name);
+  }
+  for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
+    for (const apps::BugInfo& bug : *corpus) {
+      const apps::App app = apps::MakeBugApp(bug);
+      ExpectMatchesBruteForce(app.workload.program, app.workload.name);
+    }
+  }
+}
+
+TEST(RollbackTableTest, LastInstructionAccessingMemoryEndsAtTextEnd) {
+  ProgramBuilder b;
+  b.BeginFunction("f");
+  b.LoadImm(1, 7);
+  b.Store(MemOperand::Absolute(0x10000), 1);
+  b.EndFunction();
+  const Program p = b.Build();
+  const RollbackTable table(p);
+  EXPECT_EQ(table.PrevAccessingPc(p.text_end()), p.PcOf(1));
+  EXPECT_FALSE(table.PrevAccessingPc(p.PcOf(1) + 1).has_value());  // mid-instruction
+  ExpectMatchesBruteForce(p, "store last");
+}
+
+TEST(RollbackTableTest, EmptyFunctionsKeepTheirEntries) {
+  ProgramBuilder b;
+  b.BeginFunction("a");
+  b.Load(1, MemOperand::Absolute(0x10000));
+  b.Ret();
+  b.EndFunction();
+  b.BeginFunction("empty");
+  b.EndFunction();
+  b.BeginFunction("b");
+  b.Store(MemOperand::Absolute(0x10008), 1);
+  b.Ret();
+  b.EndFunction();
+  b.BeginFunction("tail");
+  b.EndFunction();
+  const Program p = b.Build();
+  // An empty function starts where the next one does; one at the end of the
+  // text starts at text_end.
+  EXPECT_EQ(p.FindFunction("empty")->entry, p.FindFunction("b")->entry);
+  EXPECT_EQ(p.FindFunction("tail")->entry, p.text_end());
+  const RollbackTable table(p);
+  EXPECT_TRUE(table.IsFunctionEntry(p.FindFunction("b")->entry));
+  EXPECT_TRUE(table.IsFunctionEntry(p.text_end()));
+  EXPECT_FALSE(table.IsFunctionEntry(p.PcOf(1)));
+  ExpectMatchesBruteForce(p, "empty functions");
 }
 
 TEST(DisasmTest, RendersCoreInstructions) {

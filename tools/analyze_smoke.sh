@@ -2,9 +2,10 @@
 # Verdict-count smoke for the static conflict analysis (docs/analysis.md).
 #
 # Runs `kivati analyze --json` over the analyze examples and every
-# registered app and compares the summary counts (ARs per verdict, pruned,
-# plus the correlated-set census of docs/correlation.md: sets kept, pairs
-# rejected, ARs fused/synthesized) against the committed baseline, so
+# registered app, each app also with --interprocedural --precise-aliasing
+# (rows `app:NAME+ext`), and compares the summary counts (ARs per verdict,
+# pruned, plus the correlated-set census of docs/correlation.md: sets kept,
+# pairs rejected, ARs fused/synthesized) against the committed baseline, so
 # precision regressions show up as a one-line diff in review.
 #
 #   sh tools/analyze_smoke.sh check    # diff against bench/ANALYZE_baseline.txt
@@ -36,6 +37,11 @@ report() {
     --threads worker:0,worker:1
   for app in nss vlc webstone tpcw specomp; do
     row "app:$app" --app "$app"
+  done
+  # The annotator extensions refine the variable identities that pairing
+  # indexes its site bitsets by (docs/analysis.md §2).
+  for app in nss vlc webstone tpcw specomp; do
+    row "app:$app+ext" --app "$app" --interprocedural --precise-aliasing
   done
 }
 

@@ -40,7 +40,9 @@
 //                                   corpus, --multivar selects the
 //                                   multi-variable corpus instead (--json
 //                                   for the machine-readable report;
-//                                   docs/detectors.md)
+//                                   docs/detectors.md); a FILE starts the
+//                                   --threads list, as for run (default
+//                                   main:0)
 //   kivati bench-interp [options]   interpreter throughput benchmark:
 //                                   simulated Mcycles/s per app × config,
 //                                   the block engine and the
@@ -164,6 +166,8 @@
 //
 // Every option may also be spelled --option=value. Numeric options are
 // parsed strictly: the whole value must be a number in the documented range.
+// An unknown option or a bad value exits 2 and prints the command's option
+// table to stderr.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -434,10 +438,15 @@ void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
   AddAnnotatorOptions(table, options);
 }
 
-void AddSingleRunOptions(exp::OptionTable& table, CliOptions& options) {
-  table.Value("--threads", "f[:arg][,f[:arg]...]", [&options](const std::string& value) {
+// --threads f[:arg][,...]: the threads a source FILE starts.
+void AddThreadsOption(exp::OptionTable& table, CliOptions& options, const std::string& help) {
+  table.Value("--threads", help, [&options](const std::string& value) {
     return ParseThreadsSpec(value, &options.threads);
   });
+}
+
+void AddSingleRunOptions(exp::OptionTable& table, CliOptions& options) {
+  AddThreadsOption(table, options, "f[:arg][,f[:arg]...]");
   table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
@@ -467,6 +476,7 @@ exp::OptionTable CompareTable(CliOptions& options) {
   AddBugOption(table, "corpus bug to compare (repeatable; default: all)",
                [&options](const std::string& bug) { options.compare_bugs.push_back(bug); });
   table.String("--app", &options.app, "compare over a registered app (nss, vlc, ...)");
+  AddThreadsOption(table, options, "f[:arg][,...] (FILE compares)");
   AddPresetOption(table, options);
   AddMaxCyclesOption(table, options);
   table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
@@ -545,9 +555,7 @@ exp::OptionTable AnnotateTable(CliOptions& options) {
 
 exp::OptionTable AnalyzeTable(CliOptions& options) {
   exp::OptionTable table;
-  table.Value("--threads", "thread roots f[:arg][,...]", [&options](const std::string& value) {
-    return ParseThreadsSpec(value, &options.threads);
-  });
+  AddThreadsOption(table, options, "thread roots f[:arg][,...]");
   table.Value("--app", "registered app to analyze", [&options](const std::string& value) {
     for (const std::string& name : exp::RegisteredApps()) {
       if (name == value) {
@@ -587,9 +595,7 @@ std::string UnsignedList(const std::string& name, const std::string& value, unsi
 exp::OptionTable SweepTable(CliOptions& options) {
   exp::OptionTable table;
   AddConfigOptions(table, options);
-  table.Value("--threads", "f[:arg][,...] (FILE sweeps)", [&options](const std::string& value) {
-    return ParseThreadsSpec(value, &options.threads);
-  });
+  AddThreadsOption(table, options, "f[:arg][,...] (FILE sweeps)");
   AddAppsOption(table, options, "registered apps to sweep");
   table.Value("--presets", "configurations to sweep", [&options](const std::string& value) {
     std::vector<std::string> items;
@@ -739,7 +745,9 @@ CliOptions ParseArgs(int argc, char** argv) {
   }
   const std::string error = table.Parse(argc, argv, first_option);
   if (!error.empty()) {
-    Fail(error);
+    std::fprintf(stderr, "kivati: %s\noptions for %s:\n%s", error.c_str(),
+                 options.command.c_str(), table.Help().c_str());
+    std::exit(2);
   }
   if (options.command == "run" || options.command == "fuzz") {
     if (options.file.empty() && options.bug.empty()) {
@@ -1054,6 +1062,7 @@ int Compare(const CliOptions& options) {
   }
   compare_options.app = options.app;
   compare_options.source_path = options.file;
+  compare_options.threads = options.threads;
   compare_options.scale.workers = options.app_workers;
   compare_options.scale.iterations = options.app_iterations;
   compare_options.scale.annotator = options.annotator;
