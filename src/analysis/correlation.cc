@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analysis/lockset.h"
-#include "analysis/lsv.h"
 #include "common/report_envelope.h"
 
 namespace kivati {
@@ -134,7 +133,6 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
   const LockSummaries lock_summaries = ComputeLockSummaries(module);
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     const MirFunction& fn = module.functions[f];
-    const LsvResult lsv = ComputeLsv(fn);
     Window current{f, {}};
     const auto flush = [&] {
       std::set<int> distinct;
@@ -152,8 +150,10 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
         flush();
         continue;
       }
+      // Every member is a global, and §3.1 seeds every function's LSV with
+      // all globals, so no LSV test is needed here.
       const auto member = MemberAccessOf(op, module);
-      if (member.has_value() && lsv.Shared(VarRef::Global(member->first))) {
+      if (member.has_value()) {
         current.entries.push_back(WindowEntry{member->first, i, member->second, op.line});
       }
     }

@@ -1,5 +1,7 @@
 #include "exec/block_translate.h"
 
+#include <algorithm>
+
 namespace kivati {
 namespace exec {
 namespace {
@@ -49,20 +51,6 @@ FusedKind KindOf(Opcode op) {
   return FusedKind::kBarrier;
 }
 
-bool IsControlTransfer(FusedKind kind) {
-  switch (kind) {
-    case FusedKind::kJmp:
-    case FusedKind::kBnz:
-    case FusedKind::kBz:
-    case FusedKind::kCall:
-    case FusedKind::kCallInd:
-    case FusedKind::kRet:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Whether executing an op of this kind always moves the PC away from the
 // next sequential instruction.
 bool AlwaysTransfers(FusedKind kind) {
@@ -70,17 +58,19 @@ bool AlwaysTransfers(FusedKind kind) {
          kind == FusedKind::kRet;
 }
 
-bool HasStaticTarget(FusedKind kind) {
-  return kind == FusedKind::kJmp || kind == FusedKind::kBnz || kind == FusedKind::kBz ||
-         kind == FusedKind::kCall;
+// Whether the op after one of this kind starts a basic block: control may
+// leave (any transfer), or the generic loop runs it (a barrier).
+bool EndsBlock(FusedKind kind) {
+  return AlwaysTransfers(kind) || kind == FusedKind::kBnz || kind == FusedKind::kBz ||
+         kind == FusedKind::kBarrier;
 }
 
 }  // namespace
 
-BlockTranslation::BlockTranslation(const Program& program) {
+BlockTranslation::BlockTranslation(const Program& program)
+    : program_(program), pc_slots_(program.pc_slots()) {
   const std::size_t n = program.size();
   ops_.resize(n);
-  pc_to_op_.assign(static_cast<std::size_t>(program.text_end()), kNoOp);
 
   // Predecode every instruction into its compact op.
   for (std::size_t i = 0; i < n; ++i) {
@@ -91,7 +81,7 @@ BlockTranslation::BlockTranslation(const Program& program) {
     op.rs1 = instr.rs1;
     op.rs2 = instr.rs2;
     op.size = static_cast<std::uint8_t>(instr.size);
-    op.next_pc = program.PcOf(i) + program.LengthAt(i);
+    op.next_pc = static_cast<std::uint32_t>(program.PcOf(i) + program.LengthAt(i));
     op.target_op = kNoOp;
     switch (op.kind) {
       case FusedKind::kLoadImm:
@@ -103,6 +93,7 @@ BlockTranslation::BlockTranslation(const Program& program) {
       case FusedKind::kBz:
       case FusedKind::kCall:
         op.a = instr.target;
+        op.target_op = OpIndexOfPc(static_cast<ProgramCounter>(instr.target));
         break;
       case FusedKind::kMovM:
         op.base = instr.mem.base;
@@ -115,7 +106,6 @@ BlockTranslation::BlockTranslation(const Program& program) {
         op.a = instr.mem.offset;
         break;
     }
-    pc_to_op_[static_cast<std::size_t>(program.PcOf(i))] = static_cast<std::uint32_t>(i);
   }
   // The executor steps a sequential op to the next op index, so a last
   // instruction that can fall through would send it past the op array. Such
@@ -124,49 +114,31 @@ BlockTranslation::BlockTranslation(const Program& program) {
   // and meets the invalid PC after it, as without translation.
   if (n > 0 && !AlwaysTransfers(ops_[n - 1].kind)) {
     ops_[n - 1].kind = FusedKind::kBarrier;
+    ops_[n - 1].target_op = kNoOp;  // a barrier has no target to chain to
   }
+}
 
-  // Leader analysis: block boundaries fall at function entries, static
-  // branch/call targets, every instruction following a control transfer,
-  // and around barriers (which form singleton blocks).
+std::size_t BlockTranslation::num_blocks() const {
+  // A block starts at the first op, at a function entry, at a static
+  // target, at a barrier (barriers stand alone), and after any op that
+  // ends one.
+  const std::size_t n = ops_.size();
   std::vector<bool> leader(n, false);
-  if (n > 0) {
-    leader[0] = true;
-  }
-  for (const FunctionInfo& f : program.functions()) {
+  for (const FunctionInfo& f : program_.functions()) {
     if (f.first_index < n) {
       leader[f.first_index] = true;
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const FusedKind kind = ops_[i].kind;
-    if (HasStaticTarget(kind)) {
-      const std::uint32_t target = OpIndexOfPc(static_cast<ProgramCounter>(ops_[i].a));
-      ops_[i].target_op = target;
-      if (target != kNoOp) {
-        leader[target] = true;
-      }
+    const TransOp& op = ops_[i];
+    if (op.target_op != kNoOp) {
+      leader[op.target_op] = true;
     }
-    if ((IsControlTransfer(kind) || kind == FusedKind::kBarrier) && i + 1 < n) {
-      leader[i + 1] = true;
-    }
-    if (kind == FusedKind::kBarrier) {
+    if (i == 0 || op.kind == FusedKind::kBarrier || EndsBlock(ops_[i - 1].kind)) {
       leader[i] = true;
     }
   }
-
-  // Form blocks.
-  for (std::size_t i = 0; i < n;) {
-    std::size_t end = i + 1;
-    while (end < n && !leader[end]) {
-      ++end;
-    }
-    for (std::size_t j = i; j < end; ++j) {
-      ops_[j].block = static_cast<std::uint32_t>(blocks_.size());
-    }
-    blocks_.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(end)});
-    i = end;
-  }
+  return static_cast<std::size_t>(std::count(leader.begin(), leader.end(), true));
 }
 
 }  // namespace exec

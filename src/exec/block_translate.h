@@ -1,14 +1,15 @@
-// Basic-block translation of a Program (docs/performance.md).
+// Predecoded translation of a Program (docs/performance.md).
 //
 // The second-generation execution engine stops re-dispatching the fat
-// Instruction struct per step: a one-time leader analysis over the program
-// discovers basic blocks, each instruction is predecoded into a compact
-// TransOp specialized by addressing mode, and static branch/call targets are
-// resolved to op indices so the hot loop chains ops without touching the
-// PC->index table (the translation tier follows Valgrind's ucode playbook).
-// Watchpoints are not part of the translation: the executor tests each op
-// that touches memory against the armed hull of its core's registers
-// (exec/block_exec.cc).
+// Instruction struct per step: each instruction is predecoded into a
+// compact 32-byte TransOp specialized by addressing mode, one op per
+// instruction index, and static branch/call targets are resolved to op
+// indices so the hot loop chains ops without a PC lookup (the translation
+// tier follows Valgrind's ucode playbook). Dynamic targets (indirect calls,
+// returns) are looked up in the program's own dense PC table, which the
+// translation reads in place. Watchpoints are not part of the translation:
+// the executor tests each op that touches memory against the armed hull of
+// its core's registers (exec/block_exec.cc).
 //
 // The translation is derived once per ProgramImage, so sweep, fuzz and
 // shrink workers sharing an image share the translation. It is purely
@@ -20,6 +21,7 @@
 #define KIVATI_EXEC_BLOCK_TRANSLATE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -33,7 +35,7 @@ namespace exec {
 // kHalt and kRepMovs — because they enter the kernel, fire hooks, or need
 // the full access-list machinery; the engine bails out and the generic loop
 // executes them. A last instruction that can fall through past the end of
-// the text is a barrier too. Barriers always form singleton blocks.
+// the text is a barrier too.
 enum class FusedKind : std::uint8_t {
   kBarrier,
   kNop,
@@ -67,15 +69,17 @@ enum class FusedKind : std::uint8_t {
   kPop,
 };
 
-// One predecoded instruction (40 bytes vs the fat Instruction's ~100).
-// Field use by kind:
+// One predecoded instruction (32 bytes, two per cache line, vs the fat
+// Instruction's ~100). Field use by kind:
 //   a          immediate (kLoadImm/kAddI), primary memory offset, or the
 //              static branch/call target PC (kJmp/kBnz/kBz/kCall)
 //   b          secondary memory offset (kMovM source)
 //   base/base2 memory operand base registers; kNoReg = absolute operand
 //   target_op  op index of the static branch/call target (kNoOp if the
 //              target PC is not an instruction start)
-//   next_pc    PC of the next sequential instruction
+//   next_pc    PC of the next sequential instruction (the text is a dense
+//              table sized text_end, so PCs fit 32 bits; ProgramBuilder
+//              asserts it)
 struct TransOp {
   FusedKind kind = FusedKind::kBarrier;
   RegId rd = 0;
@@ -84,44 +88,43 @@ struct TransOp {
   std::uint8_t size = 8;
   RegId base = kNoReg;
   RegId base2 = kNoReg;
-  std::uint32_t block = 0;
   std::uint32_t target_op = 0;
-  ProgramCounter next_pc = 0;
+  std::uint32_t next_pc = 0;
   std::int64_t a = 0;
   std::int64_t b = 0;
 };
-
-struct TransBlock {
-  std::uint32_t first_op = 0;
-  std::uint32_t end_op = 0;  // one past the last op
-};
+static_assert(sizeof(TransOp) == 32);
 
 class BlockTranslation {
  public:
   static constexpr std::uint32_t kNoOp = 0xffffffffu;
 
+  // Reads `program`, which must outlive the translation.
   explicit BlockTranslation(const Program& program);
 
   std::size_t num_ops() const { return ops_.size(); }
   const TransOp* ops() const { return ops_.data(); }
   const TransOp& op(std::uint32_t index) const { return ops_[index]; }
 
-  std::size_t num_blocks() const { return blocks_.size(); }
-  const TransBlock& block(std::uint32_t id) const { return blocks_[id]; }
+  // Basic blocks of the program, counted on demand from the ops. No
+  // executor reads blocks; this is kept only for perfbench's `exec.blocks`
+  // metric and goes together with it (ROADMAP item 2).
+  std::size_t num_blocks() const;
 
   // Op index of the instruction whose first byte is at `pc`; kNoOp when the
-  // PC is invalid (mid-instruction, past text_end, kThreadExitPc).
+  // PC is invalid (mid-instruction, past text_end, kThreadExitPc). The op
+  // index is the instruction index, so this reads the program's PC table:
+  // its 0 for a mid-instruction byte becomes kNoOp.
   std::uint32_t OpIndexOfPc(ProgramCounter pc) const {
-    if (pc >= pc_to_op_.size()) {
-      return kNoOp;
-    }
-    return pc_to_op_[static_cast<std::size_t>(pc)];
+    return pc < pc_slots_.size() ? pc_slots_[static_cast<std::size_t>(pc)] - 1 : kNoOp;
   }
 
  private:
-  std::vector<TransOp> ops_;          // one per instruction index
-  std::vector<TransBlock> blocks_;
-  std::vector<std::uint32_t> pc_to_op_;  // dense, sized text_end
+  const Program& program_;
+  // The program's PC table (Program::pc_slots), held as a view so a lookup
+  // costs the same loads as a table of the translation's own.
+  std::span<const std::uint32_t> pc_slots_;
+  std::vector<TransOp> ops_;  // one per instruction index
 };
 
 }  // namespace exec

@@ -99,8 +99,10 @@ Program ProgramBuilder::Build() {
   }
   program.text_end_ = pc;
   // Dense PC -> index table for O(1) dispatch. Instruction counts stay far
-  // below 2^32 - 1 (text bytes are the bound), so index + 1 fits 32 bits.
+  // below 2^32 - 1 (text bytes are the bound), so index + 1 fits 32 bits;
+  // the block translation stores PCs in 32 bits too.
   assert(program.instrs_.size() < 0xFFFFFFFFu);
+  assert(program.text_end_ <= 0xFFFFFFFFu);
   program.pc_slot_.assign(static_cast<std::size_t>(program.text_end_), 0);
   for (std::size_t i = 0; i < program.instrs_.size(); ++i) {
     program.pc_slot_[static_cast<std::size_t>(program.pcs_[i])] =

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,15 +31,18 @@ class Program {
   const Instruction& At(std::size_t index) const { return instrs_[index]; }
   ProgramCounter PcOf(std::size_t index) const { return pcs_[index]; }
 
-  // Index of the instruction whose first byte is at `pc`, if any. O(1): a
-  // dense PC-indexed table (the text segment is small and contiguous), built
-  // once at Build() time. This sits on the interpreter's per-instruction
+  // The dense PC table, built once at Build() time and sized text_end() (the
+  // text segment is small and contiguous): at each text byte, the index + 1
+  // of the instruction starting there, or 0 at a mid-instruction byte. The
+  // block translation reads it in place (exec/block_translate.h).
+  std::span<const std::uint32_t> pc_slots() const { return pc_slot_; }
+
+  // Index of the instruction whose first byte is at `pc`, if any. O(1)
+  // through pc_slots(); this sits on the interpreter's per-instruction
   // dispatch path (docs/performance.md).
   std::optional<std::size_t> IndexOfPc(ProgramCounter pc) const {
-    if (pc >= pc_slot_.size()) {
-      return std::nullopt;
-    }
-    const std::uint32_t slot = pc_slot_[static_cast<std::size_t>(pc)];
+    const std::span<const std::uint32_t> slots = pc_slots();
+    const std::uint32_t slot = pc < slots.size() ? slots[static_cast<std::size_t>(pc)] : 0;
     if (slot == 0) {
       return std::nullopt;
     }
@@ -62,9 +66,7 @@ class Program {
 
   std::vector<Instruction> instrs_;
   std::vector<ProgramCounter> pcs_;
-  // pc -> instruction index + 1; 0 marks mid-instruction bytes. Sized
-  // text_end_ (one entry per text byte).
-  std::vector<std::uint32_t> pc_slot_;
+  std::vector<std::uint32_t> pc_slot_;  // see pc_slots()
   std::vector<std::uint8_t> lengths_;  // EncodedLength per instruction
   std::vector<FunctionInfo> functions_;
   // Function lookups: by name (names are unique — Bind rejects redefinition)

@@ -78,9 +78,10 @@ struct ProgramImage {
   Program program;
   // Reads `program` in place, so the image is neither copied nor moved.
   RollbackTable rollback;
-  // Basic-block translation (exec/block_translate.h), derived once here so
+  // The predecoded op array (exec/block_translate.h), derived once here so
   // every machine sharing the image — sweep grids, fuzz and shrink workers
-  // — shares the translation instead of re-deriving it per run.
+  // — shares the translation instead of re-deriving it per run. Like
+  // `rollback`, it reads `program`'s PC table in place.
   exec::BlockTranslation blocks;
 
   explicit ProgramImage(Program p)

@@ -1,10 +1,11 @@
 // Basic-block translation engine (exec/block_translate.h, docs/performance.md).
 //
 // Three layers of guardrails:
-//   1. Structural unit tests of the translation: leader analysis (branch
-//      targets and barrier instructions open blocks), barrier singletons,
-//      static-target resolution, PC mapping, and the barrier that ends a
-//      text whose last instruction falls through.
+//   1. Structural unit tests of the translation over every registered app
+//      and corpus bug: the PC lookup agrees with the program's PC table,
+//      static targets resolve to the op at their PC, barriers are exactly
+//      the kernel-entering opcodes plus a last instruction that falls
+//      through, and the on-demand block count keeps its values.
 //   2. Byte-identity: every corpus bug — the 11 single-variable and the 4
 //      multi-variable ones — simulates identically under the block engine
 //      and the per-instruction loop, its oracle, in both usage modes: full
@@ -16,11 +17,15 @@
 //      case).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "apps/bugs.h"
 #include "apps/common.h"
+#include "apps/workloads.h"
 #include "compile/compiler.h"
 #include "exec/block_translate.h"
 #include "exp/fuzz.h"
@@ -35,106 +40,113 @@ namespace {
 
 using exec::BlockTranslation;
 using exec::FusedKind;
-using exec::TransBlock;
 using exec::TransOp;
 
 constexpr std::uint32_t kNoOp = BlockTranslation::kNoOp;
 
+// The opcodes the translation leaves to the generic loop: kernel entries,
+// the three annotations, thread termination and the multi-word copy.
 bool IsBarrierOpcode(Opcode opcode) {
   return opcode == Opcode::kSyscall || opcode == Opcode::kHalt ||
          opcode == Opcode::kRepMovs || opcode == Opcode::kABegin ||
          opcode == Opcode::kAEnd || opcode == Opcode::kAClear;
 }
 
-bool EndsBlock(FusedKind kind) {
-  return kind == FusedKind::kBarrier || kind == FusedKind::kJmp ||
-         kind == FusedKind::kBnz || kind == FusedKind::kBz ||
-         kind == FusedKind::kCall || kind == FusedKind::kCallInd ||
-         kind == FusedKind::kRet;
+bool HasStaticTarget(FusedKind kind) {
+  return kind == FusedKind::kJmp || kind == FusedKind::kBnz || kind == FusedKind::kBz ||
+         kind == FusedKind::kCall;
 }
 
-// A loop over a global plus a helper call: exercises branch leaders,
-// call targets and annotation barriers in one small module.
-CompiledProgram LoopProgram() {
-  return CompileSource(
-      "int g;\n"
-      "int h;\n"
-      "void tick() {\n"
-      "  h = h + 1;\n"
-      "}\n"
-      "void bump(int n) {\n"
-      "  for (int i = 0; i < n; i = i + 1) {\n"
-      "    g = g + 1;\n"
-      "  }\n"
-      "  tick();\n"
-      "}\n");
+// The five registered apps at default scale and the 15 corpus bugs.
+const std::vector<apps::App>& AllAppsAndBugs() {
+  static const std::vector<apps::App> all = [] {
+    std::vector<apps::App> apps = apps::AllPerformanceApps();
+    for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
+      for (const apps::BugInfo& bug : *corpus) {
+        apps.push_back(apps::MakeBugApp(bug));
+      }
+    }
+    return apps;
+  }();
+  return all;
 }
 
-TEST(BlockTranslationTest, BlocksPartitionOpsAndBarriersAreSingletons) {
-  const CompiledProgram cp = LoopProgram();
-  const BlockTranslation trans(cp.program);
-  ASSERT_EQ(trans.num_ops(), cp.program.size());
-  ASSERT_GT(trans.num_blocks(), 1u);
-
-  // Blocks tile [0, num_ops) in order, and every op's block back-pointer
-  // names the block that contains it.
-  std::uint32_t expected_first = 0;
-  for (std::uint32_t id = 0; id < trans.num_blocks(); ++id) {
-    const TransBlock& b = trans.block(id);
-    EXPECT_EQ(b.first_op, expected_first);
-    ASSERT_GT(b.end_op, b.first_op);
-    for (std::uint32_t i = b.first_op; i < b.end_op; ++i) {
-      EXPECT_EQ(trans.op(i).block, id);
+// The translation keeps no PC table of its own: its lookup must agree with
+// the program's at every PC, mid-instruction bytes, the bytes past the text
+// and the thread-exit return address included.
+TEST(BlockTranslationTest, OpIndexOfPcMatchesTheProgramsPcTable) {
+  for (const apps::App& app : AllAppsAndBugs()) {
+    const Program& p = app.workload.program;
+    const BlockTranslation trans(p);
+    ASSERT_EQ(trans.num_ops(), p.size()) << app.workload.name;
+    for (ProgramCounter pc = 0; pc < p.text_end() + 16; ++pc) {
+      const std::optional<std::size_t> index = p.IndexOfPc(pc);
+      ASSERT_EQ(trans.OpIndexOfPc(pc), index.has_value() ? *index : kNoOp)
+          << app.workload.name << " pc=" << pc;
     }
-    expected_first = b.end_op;
-  }
-  EXPECT_EQ(expected_first, trans.num_ops());
-
-  for (std::uint32_t i = 0; i < trans.num_ops(); ++i) {
-    const TransOp& op = trans.op(i);
-    // Kernel-entering instructions translate to barriers — and only they do.
-    EXPECT_EQ(op.kind == FusedKind::kBarrier, IsBarrierOpcode(cp.program.At(i).op))
-        << "op " << i;
-    // Barriers are singleton blocks: the engine must bail before them, so
-    // no fused block may flow through one.
-    if (op.kind == FusedKind::kBarrier) {
-      const TransBlock& b = trans.block(op.block);
-      EXPECT_EQ(b.end_op - b.first_op, 1u) << "op " << i;
-    }
-    // Control flow only at block ends.
-    if (EndsBlock(op.kind)) {
-      EXPECT_EQ(i, trans.block(op.block).end_op - 1) << "op " << i;
-    }
+    EXPECT_EQ(trans.OpIndexOfPc(kThreadExitPc), kNoOp) << app.workload.name;
   }
 }
 
-TEST(BlockTranslationTest, StaticTargetsResolveToBlockLeaders) {
-  const CompiledProgram cp = LoopProgram();
-  const BlockTranslation trans(cp.program);
-
-  std::size_t branches = 0;
-  for (std::uint32_t i = 0; i < trans.num_ops(); ++i) {
-    const TransOp& op = trans.op(i);
-    if (op.kind != FusedKind::kJmp && op.kind != FusedKind::kBnz &&
-        op.kind != FusedKind::kBz && op.kind != FusedKind::kCall) {
-      continue;
+// The rounds chain a static branch or call through target_op without a
+// lookup, so it must name the op at the target PC; no other op has one.
+TEST(BlockTranslationTest, StaticTargetsResolveToTheOpAtTheirPc) {
+  for (const apps::App& app : AllAppsAndBugs()) {
+    const Program& p = app.workload.program;
+    const BlockTranslation trans(p);
+    std::size_t branches = 0;
+    for (std::uint32_t i = 0; i < trans.num_ops(); ++i) {
+      const TransOp& op = trans.op(i);
+      if (!HasStaticTarget(op.kind)) {
+        EXPECT_EQ(op.target_op, kNoOp) << app.workload.name << " op " << i;
+        continue;
+      }
+      ++branches;
+      ASSERT_EQ(op.a, p.At(i).target) << app.workload.name << " op " << i;
+      const std::optional<std::size_t> target = p.IndexOfPc(static_cast<ProgramCounter>(op.a));
+      ASSERT_TRUE(target.has_value()) << app.workload.name << " op " << i;
+      EXPECT_EQ(op.target_op, *target) << app.workload.name << " op " << i;
     }
-    ++branches;
-    ASSERT_NE(op.target_op, kNoOp) << "static target unresolved at op " << i;
-    // The resolved target is the leader of its block (leader analysis) and
-    // agrees with the PC-indexed table.
-    EXPECT_EQ(op.target_op, trans.block(trans.op(op.target_op).block).first_op);
-    EXPECT_EQ(op.target_op,
-              trans.OpIndexOfPc(static_cast<ProgramCounter>(op.a)));
+    EXPECT_GT(branches, 0u) << app.workload.name;
   }
-  EXPECT_GT(branches, 0u);
+}
 
-  // PC mapping is exact and rejects non-instruction PCs.
-  for (std::size_t i = 0; i < cp.program.size(); ++i) {
-    EXPECT_EQ(trans.OpIndexOfPc(cp.program.PcOf(i)), i);
+// Kernel-entering instructions translate to barriers, and only they do
+// (codegen ends every function with ret, so no compiled text ends in a
+// fall-through). Every op's 32-bit next_pc is its instruction's end.
+TEST(BlockTranslationTest, BarriersAreTheKernelEnteringOpcodes) {
+  for (const apps::App& app : AllAppsAndBugs()) {
+    const Program& p = app.workload.program;
+    const BlockTranslation trans(p);
+    for (std::uint32_t i = 0; i < trans.num_ops(); ++i) {
+      const TransOp& op = trans.op(i);
+      EXPECT_EQ(op.kind == FusedKind::kBarrier, IsBarrierOpcode(p.At(i).op))
+          << app.workload.name << " op " << i;
+      EXPECT_EQ(op.next_pc, p.PcOf(i) + p.LengthAt(i)) << app.workload.name << " op " << i;
+    }
   }
-  EXPECT_EQ(trans.OpIndexOfPc(cp.program.text_end()), kNoOp);
-  EXPECT_EQ(trans.OpIndexOfPc(cp.program.text_end() + 100), kNoOp);
+}
+
+// num_blocks() counts block leaders on demand. These are the counts of the
+// block table the translation used to build and store; perfbench reports
+// their sum as exec.blocks.
+TEST(BlockTranslationTest, NumBlocksKeepsItsCounts) {
+  const std::map<std::string, std::size_t> expected = {
+      {"NSS", 111},          {"VLC", 173},           {"Webstone", 94},
+      {"TPC-W", 117},        {"SPEC OMP", 101},      {"Apache 44402", 80},
+      {"Apache 21287", 73},  {"Apache 25520", 74},   {"NSS 341323", 80},
+      {"NSS 329072", 78},    {"NSS 225525", 78},     {"NSS 270689", 74},
+      {"NSS 169296", 80},    {"NSS 201134", 73},     {"MySQL 19938", 80},
+      {"MySQL 25306", 73},   {"Apache 45605", 76},   {"Mozilla 73291", 78},
+      {"MySQL 38883", 75},   {"NSS 88331", 75},
+  };
+  ASSERT_EQ(AllAppsAndBugs().size(), expected.size());
+  for (const apps::App& app : AllAppsAndBugs()) {
+    const auto it = expected.find(app.workload.name);
+    ASSERT_NE(it, expected.end()) << app.workload.name;
+    EXPECT_EQ(BlockTranslation(app.workload.program).num_blocks(), it->second)
+        << app.workload.name;
+  }
 }
 
 // `main: loadimm r1,6; addi r1,r1,1` with no halt or ret: the last
@@ -149,13 +161,33 @@ Program FallThroughProgram() {
   return b.Build();
 }
 
+// A last instruction that may fall through is a barrier, a conditional
+// branch included (it chains to nothing); one that always transfers is not.
 TEST(BlockTranslationTest, FallThroughLastInstructionIsABarrier) {
   const Program program = FallThroughProgram();
   const BlockTranslation trans(program);
   ASSERT_EQ(trans.num_ops(), program.size());
   EXPECT_EQ(trans.op(0).kind, FusedKind::kLoadImm);
   EXPECT_EQ(trans.op(1).kind, FusedKind::kBarrier);
-  EXPECT_EQ(trans.block(trans.op(1).block).first_op, 1u);
+  EXPECT_EQ(trans.num_blocks(), 2u);  // the barrier stands alone
+
+  for (const bool conditional : {true, false}) {
+    ProgramBuilder b;
+    b.BeginFunction("main");
+    const ProgramBuilder::Label top = b.NewLabel();
+    b.Bind(top);
+    b.LoadImm(1, 0);
+    if (conditional) {
+      b.Bnz(1, top);
+    } else {
+      b.Jmp(top);
+    }
+    b.EndFunction();
+    const Program loop = b.Build();
+    const BlockTranslation t(loop);
+    EXPECT_EQ(t.op(1).kind, conditional ? FusedKind::kBarrier : FusedKind::kJmp);
+    EXPECT_EQ(t.op(1).target_op, conditional ? kNoOp : 0u);
+  }
 }
 
 // Both engines run the fall-through program off the end of the text into

@@ -343,16 +343,25 @@ std::vector<Case> AllCases() {
   // A quantum that is not a multiple of anything: expiries land mid-round.
   cases.push_back({.workload = "nss", .cores = 4, .mode = Mode::kPlain, .quantum = 97});
   // Generated programs under the short quantum, which forces a Reschedule
-  // (run per instruction, outside the rounds) every 97 cycles, and under a
-  // replaying and a guided controller.
+  // (run per instruction, outside the rounds) every 97 cycles; under a
+  // strict and a loose replay and a guided controller; with fewer and more
+  // watchpoint registers; and with trap-before delivery. Their calls push
+  // each op's next_pc, and their returns look the target op up in the
+  // program's PC table.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::string name = "gen" + std::to_string(seed);
     cases.push_back({.workload = name, .cores = 4, .mode = Mode::kPlain, .quantum = 97,
                      .program_seed = seed});
     for (const unsigned cores : {2u, 4u}) {
-      for (const Mode mode : {Mode::kStrictReplay, Mode::kGuidedPct}) {
+      for (const Mode mode : {Mode::kStrictReplay, Mode::kLooseReplay, Mode::kGuidedPct}) {
         cases.push_back({.workload = name, .cores = cores, .mode = mode, .program_seed = seed});
       }
+      for (const unsigned watchpoints : {2u, 8u}) {
+        cases.push_back({.workload = name, .cores = cores, .mode = Mode::kPlain,
+                         .watchpoints = watchpoints, .program_seed = seed});
+      }
+      cases.push_back({.workload = name, .cores = cores, .mode = Mode::kPlain,
+                       .trap = TrapDelivery::kBefore, .program_seed = seed});
     }
   }
   return cases;

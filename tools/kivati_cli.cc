@@ -682,7 +682,7 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
   AddMaxCyclesOption(table, options);
   AddAppScaleOptions(table, options);
   table.Flag("--block-only", &options.block_only, "measure only the block engine");
-  table.Flag("--fast-only", &options.fast_only, "measure only the optimized loop");
+  table.Flag("--fast-only", &options.fast_only, "measure only the per-instruction loop");
   table.String("--json", &options.json_path, "machine-readable report ('-' = stdout)");
   return table;
 }
