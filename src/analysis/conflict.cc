@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "analysis/lockset.h"
@@ -134,15 +133,23 @@ std::string PairCase(const FunctionAr& ar) {
 
 class Analyzer {
  public:
-  Analyzer(const MirModule& module, const ModuleAnnotations& annotations,
+  Analyzer(const MirModule& module, const ModuleAnnotations& annotations, const LockFacts& locks,
            const ConflictOptions& options)
       : module_(module),
         annotations_(annotations),
+        locks_(locks),
         options_(options),
         classes_(BuildClasses(module, options)),
         taken_globals_(AddressTakenGlobals(module)),
-        locks_(ComputeLockSummaries(module)),
-        must_held_(module.functions.size()) {}
+        sync_locks_(locks.EmptySet()) {
+    // Only sync-qualified lock words count (the language's locking
+    // discipline; see docs/language.md).
+    for (std::size_t b = 0; b < locks.lock_words().size(); ++b) {
+      if (module.globals[static_cast<std::size_t>(locks.lock_words()[b])].is_sync) {
+        sync_locks_.insert(b);
+      }
+    }
+  }
 
   ConflictReport Run() {
     ConflictReport report;
@@ -198,31 +205,6 @@ class Analyzer {
     }
   }
 
-  const std::vector<std::set<int>>& MustHeldFor(int f) {
-    auto& cached = must_held_[static_cast<std::size_t>(f)];
-    if (!cached.has_value()) {
-      cached = ComputeMustHeld(module_, module_.functions[static_cast<std::size_t>(f)], locks_);
-    }
-    return *cached;
-  }
-
-  // Locks certainly still held while the access hosted by op `index` runs:
-  // must-held at entry, minus everything a call op's callee may release (the
-  // access then happens inside the callee, possibly after those unlocks).
-  std::set<int> HeldDuring(int f, int index, std::set<int> held) {
-    const MirOp& op = module_.functions[static_cast<std::size_t>(f)].ops[static_cast<std::size_t>(index)];
-    if (op.kind == MirOp::Kind::kCall) {
-      const MirFunction* callee = module_.FindFunction(op.callee);
-      if (callee == nullptr) {
-        return {};
-      }
-      for (const int lock : locks_.may_unlock[static_cast<std::size_t>(IndexOf(module_, callee))]) {
-        held.erase(lock);
-      }
-    }
-    return held;
-  }
-
   ArConflict Classify(int f, const FunctionAr& ar) {
     ArConflict conflict;
     conflict.id = ar.id;
@@ -232,7 +214,7 @@ class Analyzer {
       conflict.verdict = ArVerdict::kNoRemoteWriter;
       return conflict;
     }
-    const int lock = FindProtectingLock(f, ar, conflict.remote_sites);
+    const int lock = FindProtectingLock(static_cast<std::size_t>(f), ar);
     if (lock >= 0) {
       conflict.verdict = ArVerdict::kLockProtected;
       conflict.lock = module_.globals[static_cast<std::size_t>(lock)].name;
@@ -284,59 +266,45 @@ class Analyzer {
         site.type = access->type;
         site.via_pointer = via_pointer;
         out.push_back(std::move(site));
-        site_fn_op_.emplace_back(g, static_cast<int>(i));
+        site_fn_op_.emplace_back(static_cast<std::size_t>(g), i);
       }
     }
   }
 
   // A trusted sync lock held continuously across the local pair and at every
-  // dangerous remote site, or -1.
-  int FindProtectingLock(int f, const FunctionAr& ar, const std::vector<RemoteSite>& sites) {
-    const MirFunction& fn = module_.functions[static_cast<std::size_t>(f)];
+  // dangerous remote site of the last CollectRemoteSites call, or -1. An
+  // access hosted by a call op happens inside the callee, possibly after the
+  // callee's unlocks, so what the callee may release does not count there.
+  int FindProtectingLock(std::size_t f, const FunctionAr& ar) {
     std::vector<int> ends;
     ends.reserve(ar.ends.size());
     for (const auto& [op, type] : ar.ends) {
       ends.push_back(op);
     }
-    std::set<int> held =
-        LocksHeldAcross(module_, fn, locks_, MustHeldFor(f), ar.first_op, ends);
-    held = HeldDuring(f, ar.first_op, std::move(held));
+    LockSet held = locks_.HeldAcross(f, ar.first_op, ends);
+    locks_.ReleaseByCall(f, static_cast<std::size_t>(ar.first_op), held);
     for (const int end : ends) {
-      held = HeldDuring(f, end, std::move(held));
+      locks_.ReleaseByCall(f, static_cast<std::size_t>(end), held);
     }
-    // Only sync-qualified lock words count (the language's locking
-    // discipline; see docs/language.md).
-    for (auto it = held.begin(); it != held.end();) {
-      if (!module_.globals[static_cast<std::size_t>(*it)].is_sync) {
-        it = held.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (std::size_t s = 0; s < sites.size() && !held.empty(); ++s) {
+    held.IntersectWith(sync_locks_.words());
+    for (std::size_t s = 0; s < site_fn_op_.size() && !held.empty(); ++s) {
       const auto [g, op] = site_fn_op_[s];
-      std::set<int> at_site = MustHeldFor(g)[static_cast<std::size_t>(op)];
-      at_site = HeldDuring(g, op, std::move(at_site));
-      for (auto it = held.begin(); it != held.end();) {
-        if (!at_site.contains(*it)) {
-          it = held.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      held.IntersectWith(locks_.must_held(g, op));
+      locks_.ReleaseByCall(g, op, held);
     }
-    return held.empty() ? -1 : *held.begin();
+    return held.empty() ? -1 : locks_.lock_words()[static_cast<std::size_t>(held.first())];
   }
 
   const MirModule& module_;
   const ModuleAnnotations& annotations_;
+  const LockFacts& locks_;
   const ConflictOptions& options_;
   std::vector<ThreadClass> classes_;
   std::set<int> taken_globals_;
-  LockSummaries locks_;
-  std::vector<std::optional<std::vector<std::set<int>>>> must_held_;
+  LockSet sync_locks_;  // lock words declared `sync`
   std::vector<std::set<int>> remote_fns_;
-  std::vector<std::pair<int, int>> site_fn_op_;  // parallel to CollectRemoteSites output
+  // (function, op) per site, parallel to CollectRemoteSites output.
+  std::vector<std::pair<std::size_t, std::size_t>> site_fn_op_;
 };
 
 const char* AccessLetter(AccessType type) { return type == AccessType::kRead ? "R" : "W"; }
@@ -356,8 +324,8 @@ const char* ToString(ArVerdict verdict) {
 }
 
 ConflictReport AnalyzeConflicts(const MirModule& module, const ModuleAnnotations& annotations,
-                                const ConflictOptions& options) {
-  return Analyzer(module, annotations, options).Run();
+                                const LockFacts& locks, const ConflictOptions& options) {
+  return Analyzer(module, annotations, locks, options).Run();
 }
 
 std::string FormatConflictReport(const ConflictReport& report,

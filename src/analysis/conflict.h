@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "analysis/atomic_regions.h"
+#include "analysis/lockset.h"
 #include "analysis/mir.h"
 
 namespace kivati {
@@ -86,8 +87,10 @@ struct ConflictReport {
   std::unordered_set<ArId> pruned;
 };
 
+// `locks` must be the module's own (analysis/lockset.h); one LockFacts
+// serves every run over the same module.
 ConflictReport AnalyzeConflicts(const MirModule& module, const ModuleAnnotations& annotations,
-                                const ConflictOptions& options = {});
+                                const LockFacts& locks, const ConflictOptions& options = {});
 
 // Human-readable ranked report: watch-required ARs first (most remote sites
 // first), then the pruned verdicts. `infos` is ModuleAnnotations::infos.

@@ -62,7 +62,8 @@ struct Window {
 
 struct PairData {
   std::vector<CoAccessSite> sites;
-  std::set<std::size_t> functions;  // distinct functions with a co-access
+  std::vector<std::size_t> site_functions;  // parallel to sites: function index
+  std::set<std::size_t> functions;          // distinct functions with a co-access
 };
 
 using PairKey = std::pair<int, int>;  // global indices, first < second
@@ -124,13 +125,12 @@ const char* ToString(PairPruneReason reason) {
 }
 
 CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& annotations,
-                                   const ConflictReport& conflict,
+                                   const ConflictReport& conflict, const LockFacts& locks,
                                    const CorrelationOptions& options) {
   CorrelationReport report;
 
   // --- 1. Co-access windows ------------------------------------------------
   std::vector<Window> windows;
-  const LockSummaries lock_summaries = ComputeLockSummaries(module);
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     const MirFunction& fn = module.functions[f];
     Window current{f, {}};
@@ -184,6 +184,7 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
         site.a_type = ea->type;
         site.b_type = eb->type;
         data.sites.push_back(site);
+        data.site_functions.push_back(window.function);
         data.functions.insert(window.function);
       }
     }
@@ -212,16 +213,6 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
            it->second.first == it->second.second;
   };
 
-  // Per-function must-held locksets, computed lazily.
-  std::map<std::string, std::vector<std::set<int>>> must_held_cache;
-  const auto must_held_of = [&](const MirFunction& fn) -> const std::vector<std::set<int>>& {
-    auto it = must_held_cache.find(fn.name);
-    if (it == must_held_cache.end()) {
-      it = must_held_cache.emplace(fn.name, ComputeMustHeld(module, fn, lock_summaries)).first;
-    }
-    return it->second;
-  };
-
   std::vector<CorrelatedPair> kept;
   for (auto& [key, data] : candidates) {
     CorrelatedPair pair;
@@ -233,20 +224,14 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
     pair.support = static_cast<int>(data.functions.size());
 
     // Common trusted lock held continuously across every co-access window?
-    std::set<int> common;
-    bool first_site = true;
-    for (const CoAccessSite& site : pair.sites) {
-      const MirFunction* fn = module.FindFunction(site.function);
-      const std::set<int> held =
-          LocksHeldAcross(module, *fn, lock_summaries, must_held_of(*fn), site.op_a, {site.op_b});
-      if (first_site) {
+    LockSet common;
+    for (std::size_t s = 0; s < pair.sites.size(); ++s) {
+      const CoAccessSite& site = pair.sites[s];
+      const LockSet held = locks.HeldAcross(data.site_functions[s], site.op_a, {site.op_b});
+      if (s == 0) {
         common = held;
-        first_site = false;
       } else {
-        std::set<int> next;
-        std::set_intersection(common.begin(), common.end(), held.begin(), held.end(),
-                              std::inserter(next, next.begin()));
-        common = std::move(next);
+        common.IntersectWith(held.words());
       }
       if (common.empty()) {
         break;
@@ -254,7 +239,8 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
     }
     if (!common.empty()) {
       pair.pruned = PairPruneReason::kLockProtected;
-      pair.lock = module.globals[static_cast<std::size_t>(*common.begin())].name;
+      const int lock = locks.lock_words()[static_cast<std::size_t>(common.first())];
+      pair.lock = module.globals[static_cast<std::size_t>(lock)].name;
     } else if (var_protected(pair.a) || var_protected(pair.b)) {
       pair.pruned = PairPruneReason::kLockProtected;
     } else if (pair.support < options.min_support) {

@@ -40,6 +40,7 @@
 
 #include "analysis/atomic_regions.h"
 #include "analysis/conflict.h"
+#include "analysis/lockset.h"
 #include "analysis/mir.h"
 
 namespace kivati {
@@ -112,11 +113,12 @@ struct CorrelationReport {
 // Runs the inference over `module` and — when options.fuse — rewrites
 // `annotations` in place. `conflict` supplies the PR 3 verdicts: a variable
 // whose every AR is lock-protected is treated as protected and never
-// correlates. Synthesized ARs are appended with fresh ids following
+// correlates. `locks` is the module's lock analysis, the same one the
+// conflict runs read. Synthesized ARs are appended with fresh ids following
 // annotations.infos; callers must re-run AnalyzeConflicts afterwards when
 // report.changed (compile/compiler.cc does).
 CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& annotations,
-                                   const ConflictReport& conflict,
+                                   const ConflictReport& conflict, const LockFacts& locks,
                                    const CorrelationOptions& options = {});
 
 // Human-readable ranked report (the `correlated-sets` section of

@@ -1,41 +1,178 @@
 #include "analysis/lockset.h"
 
 #include <algorithm>
+#include <bit>
+#include <string_view>
+#include <unordered_map>
 
 namespace kivati {
 namespace {
 
-// Intersection in place; returns true if `into` changed.
-bool IntersectInto(std::set<int>& into, const std::set<int>& with) {
-  bool changed = false;
-  for (auto it = into.begin(); it != into.end();) {
-    if (!with.contains(*it)) {
-      it = into.erase(it);
-      changed = true;
-    } else {
-      ++it;
-    }
+// into &= with, over `words` words; true if `into` lost a bit.
+bool IntersectInto(LockSet::Word* into, const LockSet::Word* with, std::size_t words) {
+  bool shrank = false;
+  for (std::size_t w = 0; w < words; ++w) {
+    shrank |= (into[w] & ~with[w]) != 0;
+    into[w] &= with[w];
   }
-  return changed;
+  return shrank;
 }
 
-// Applies op's lock effects to `held` (which locks survive past the op).
-// Returns false if the effect is unanalyzable and the set must be cleared.
-void ApplyKills(const MirModule& module, const MirOp& op, const LockSummaries& summaries,
-                std::set<int>& held) {
-  switch (op.kind) {
-    case MirOp::Kind::kUnlock:
-      held.erase(op.global);
+}  // namespace
+
+bool LockSet::empty() const {
+  return std::all_of(words_.begin(), words_.end(), [](Word w) { return w == 0; });
+}
+
+int LockSet::first() const {
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    if (words_[w] != 0) {
+      return static_cast<int>(w * 64) + std::countr_zero(words_[w]);
+    }
+  }
+  return -1;
+}
+
+void LockSet::clear() { std::fill(words_.begin(), words_.end(), 0); }
+
+void LockSet::IntersectWith(std::span<const Word> other) {
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    words_[w] &= other[w];
+  }
+}
+
+void LockSet::Subtract(std::span<const Word> other) {
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    words_[w] &= ~other[w];
+  }
+}
+
+LockFacts::LockFacts(const MirModule& module) : module_(module) {
+  // Lock words, and the globals any other access disqualifies.
+  std::vector<bool> is_lock(module.globals.size(), false);
+  std::vector<bool> tainted(module.globals.size(), false);
+  std::unordered_map<std::string_view, int> function_index;
+  op_base_.assign(1, 0);
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    function_index.emplace(module.functions[f].name, static_cast<int>(f));
+    op_base_.push_back(op_base_.back() + module.functions[f].ops.size());
+    for (const MirOp& op : module.functions[f].ops) {
+      switch (op.kind) {
+        case MirOp::Kind::kLock:
+        case MirOp::Kind::kUnlock:
+          is_lock[static_cast<std::size_t>(op.global)] = true;
+          break;
+        case MirOp::Kind::kLoadGlobal:
+        case MirOp::Kind::kStoreGlobal:
+        case MirOp::Kind::kAddrGlobal:
+          tainted[static_cast<std::size_t>(op.global)] = true;
+          break;
+        case MirOp::Kind::kLoadIndex:
+        case MirOp::Kind::kStoreIndex:
+        case MirOp::Kind::kAddrIndex:
+          if (op.array.space == VarRef::Space::kGlobal) {
+            tainted[static_cast<std::size_t>(op.array.index)] = true;
+          }
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  bit_of_.assign(module.globals.size(), -1);
+  for (std::size_t g = 0; g < module.globals.size(); ++g) {
+    if (is_lock[g]) {
+      bit_of_[g] = static_cast<int>(lock_words_.size());
+      lock_words_.push_back(static_cast<int>(g));
+    }
+  }
+  words_ = (lock_words_.size() + 63) / 64;
+  trusted_.assign(words_, 0);
+  for (std::size_t b = 0; b < lock_words_.size(); ++b) {
+    if (!tainted[static_cast<std::size_t>(lock_words_[b])]) {
+      trusted_[b / 64] |= Word{1} << (b % 64);
+    }
+  }
+
+  // Callees by index, the first function of a name winning as in
+  // MirModule::FindFunction. may_unlock: the function's own unlocks, then
+  // its callees' sets to a fixed point over the call graph (handles
+  // recursion). A call to an unresolvable name may release every trusted
+  // lock.
+  callee_.assign(op_base_.back(), -1);
+  may_unlock_.assign(module.functions.size() * words_, 0);
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    const std::vector<MirOp>& ops = module.functions[f].ops;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind == MirOp::Kind::kCall) {
+        const auto it = function_index.find(ops[i].callee);
+        if (it != function_index.end()) {
+          callee_[op_base_[f] + i] = it->second;
+        }
+      } else if (ops[i].kind == MirOp::Kind::kUnlock) {
+        const auto bit = static_cast<std::size_t>(bit_of_[static_cast<std::size_t>(ops[i].global)]);
+        may_unlock_[f * words_ + bit / 64] |= Word{1} << (bit % 64);
+      }
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t f = 0; f < module.functions.size(); ++f) {
+      Word* mine = may_unlock_.data() + f * words_;
+      const std::vector<MirOp>& ops = module.functions[f].ops;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].kind != MirOp::Kind::kCall) {
+          continue;
+        }
+        const int callee = callee_[op_base_[f] + i];
+        const Word* from =
+            callee < 0 ? trusted_.data()
+                       : may_unlock_.data() + static_cast<std::size_t>(callee) * words_;
+        for (std::size_t w = 0; w < words_; ++w) {
+          changed |= (from[w] & ~mine[w]) != 0;
+          mine[w] |= from[w];
+        }
+      }
+    }
+  }
+  solved_.assign(module.functions.size(), false);
+}
+
+std::vector<int> LockFacts::Globals(std::span<const Word> set) const {
+  std::vector<int> globals;
+  for (std::size_t w = 0; w < set.size(); ++w) {
+    for (Word bits = set[w]; bits != 0; bits &= bits - 1) {
+      globals.push_back(lock_words_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]);
+    }
+  }
+  return globals;
+}
+
+void LockFacts::Apply(std::size_t function, std::size_t op, Word* set, bool acquire) const {
+  const MirOp& mir = module_.functions[function].ops[op];
+  switch (mir.kind) {
+    case MirOp::Kind::kLock: {
+      const auto bit = static_cast<std::size_t>(bit_of_[static_cast<std::size_t>(mir.global)]);
+      if (acquire) {
+        set[bit / 64] |= trusted_[bit / 64] & (Word{1} << (bit % 64));
+      }
       break;
+    }
+    case MirOp::Kind::kUnlock: {
+      const auto bit = static_cast<std::size_t>(bit_of_[static_cast<std::size_t>(mir.global)]);
+      set[bit / 64] &= ~(Word{1} << (bit % 64));
+      break;
+    }
     case MirOp::Kind::kCall: {
-      const MirFunction* callee = module.FindFunction(op.callee);
-      if (callee == nullptr) {
-        held.clear();  // unresolvable callee: assume it may release anything
+      const int callee = callee_[op_base_[function] + op];
+      if (callee < 0) {
+        std::fill(set, set + words_, 0);  // unresolvable callee: may release anything
         break;
       }
-      const std::size_t c = static_cast<std::size_t>(callee - module.functions.data());
-      for (const int lock : summaries.may_unlock[c]) {
-        held.erase(lock);
+      const Word* released = may_unlock_.data() + static_cast<std::size_t>(callee) * words_;
+      for (std::size_t w = 0; w < words_; ++w) {
+        set[w] &= ~released[w];
       }
       break;
     }
@@ -44,175 +181,115 @@ void ApplyKills(const MirModule& module, const MirOp& op, const LockSummaries& s
   }
 }
 
-}  // namespace
-
-LockSummaries ComputeLockSummaries(const MirModule& module) {
-  LockSummaries summaries;
-  summaries.may_unlock.assign(module.functions.size(), {});
-
-  // Trusted locks: used in lock()/unlock() and nowhere else.
-  std::set<int> lock_words;
-  std::set<int> tainted;
-  for (const MirFunction& function : module.functions) {
-    for (const MirOp& op : function.ops) {
-      switch (op.kind) {
-        case MirOp::Kind::kLock:
-        case MirOp::Kind::kUnlock:
-          lock_words.insert(op.global);
-          break;
-        case MirOp::Kind::kLoadGlobal:
-        case MirOp::Kind::kStoreGlobal:
-        case MirOp::Kind::kAddrGlobal:
-          tainted.insert(op.global);
-          break;
-        case MirOp::Kind::kLoadIndex:
-        case MirOp::Kind::kStoreIndex:
-        case MirOp::Kind::kAddrIndex:
-          if (op.array.space == VarRef::Space::kGlobal) {
-            tainted.insert(op.array.index);
-          }
-          break;
-        default:
-          break;
-      }
-    }
+// The greatest fixed point, from top (every trusted lock) at every op but
+// the entry, which holds nothing: callers may hold locks, but assuming none
+// is the sound direction for a must analysis. Each op's output is
+// intersected into its successors' inputs until no input shrinks. An op
+// with no predecessor never executes and keeps top. Without trusted locks,
+// top is empty and so is every set: nothing is stored.
+void LockFacts::SolveMustHeld(std::size_t function) const {
+  solved_[function] = true;
+  if (std::all_of(trusted_.begin(), trusted_.end(), [](Word w) { return w == 0; })) {
+    return;
   }
-  std::set_difference(lock_words.begin(), lock_words.end(), tainted.begin(), tainted.end(),
-                      std::inserter(summaries.trusted_locks, summaries.trusted_locks.end()));
-
-  // may_unlock to a fixed point over the call graph (handles recursion). A
-  // function calling an unresolvable name may release every trusted lock.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t f = 0; f < module.functions.size(); ++f) {
-      std::set<int>& mine = summaries.may_unlock[f];
-      const std::size_t before = mine.size();
-      for (const MirOp& op : module.functions[f].ops) {
-        if (op.kind == MirOp::Kind::kUnlock) {
-          mine.insert(op.global);
-        } else if (op.kind == MirOp::Kind::kCall) {
-          const MirFunction* callee = module.FindFunction(op.callee);
-          if (callee == nullptr) {
-            mine.insert(summaries.trusted_locks.begin(), summaries.trusted_locks.end());
-          } else {
-            const std::size_t c = static_cast<std::size_t>(callee - module.functions.data());
-            mine.insert(summaries.may_unlock[c].begin(), summaries.may_unlock[c].end());
-          }
-        }
-      }
-      changed |= mine.size() != before;
-    }
+  if (must_held_.empty()) {
+    must_held_.assign(op_base_.back() * words_, 0);
   }
-  return summaries;
-}
-
-std::vector<std::set<int>> ComputeMustHeld(const MirModule& module, const MirFunction& function,
-                                           const LockSummaries& summaries) {
-  const std::size_t n = function.ops.size();
-  // Top = all trusted locks; the entry op is pinned to the empty set.
-  std::vector<std::set<int>> in(n, summaries.trusted_locks);
-  if (n == 0) {
-    return in;
+  const MirFunction& fn = module_.functions[function];
+  const std::size_t n = fn.ops.size();
+  Word* in = must_held_.data() + op_base_[function] * words_;
+  for (std::size_t i = 1; i < n; ++i) {
+    std::copy(trusted_.begin(), trusted_.end(), in + i * words_);
   }
-  in[0].clear();
-
-  std::vector<std::vector<std::size_t>> preds(n);
+  std::vector<Word> out(words_);
   std::vector<std::size_t> succs;
-  for (std::size_t i = 0; i < n; ++i) {
-    SuccessorsOf(function, i, succs);
-    for (const std::size_t s : succs) {
-      preds[s].push_back(i);
-    }
-  }
-
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      std::set<int> merged;
-      if (i == 0) {
-        // Entry: callers may hold locks, but assuming none is the sound
-        // direction for a must analysis.
-        merged.clear();
-      } else if (preds[i].empty()) {
-        // Unreachable op: keep top (never executes).
-        continue;
-      } else {
-        bool first = true;
-        for (const std::size_t p : preds[i]) {
-          std::set<int> out = in[p];
-          const MirOp& op = function.ops[p];
-          if (op.kind == MirOp::Kind::kLock && summaries.trusted_locks.contains(op.global)) {
-            out.insert(op.global);
-          }
-          ApplyKills(module, op, summaries, out);
-          if (first) {
-            merged = std::move(out);
-            first = false;
-          } else {
-            IntersectInto(merged, out);
-          }
-        }
-      }
-      if (merged != in[i]) {
-        in[i] = std::move(merged);
-        changed = true;
+      std::copy(in + i * words_, in + (i + 1) * words_, out.begin());
+      Apply(function, i, out.data(), /*acquire=*/true);
+      SuccessorsOf(fn, i, succs);
+      for (const std::size_t s : succs) {
+        changed |= IntersectInto(in + s * words_, out.data(), words_);
       }
     }
   }
-  return in;
 }
 
-std::set<int> LocksHeldAcross(const MirModule& module, const MirFunction& function,
-                              const LockSummaries& summaries,
-                              const std::vector<std::set<int>>& must_held, int from,
-                              const std::vector<int>& to) {
-  const std::size_t n = function.ops.size();
-  const std::set<int>& start = must_held[static_cast<std::size_t>(from)];
-  if (start.empty() || to.empty()) {
-    return {};
+std::span<const LockFacts::Word> LockFacts::must_held(std::size_t function,
+                                                      std::size_t op) const {
+  if (!solved_[function]) {
+    SolveMustHeld(function);
   }
-  // Forward flow from `from`: value[i] = subset of `start` never released on
-  // some path from `from` to the entry of op i. `from` itself is pinned to
-  // `start` — a path that revisits it restarts the atomic region's window.
-  std::vector<std::set<int>> value(n, start);  // top for not-yet-reached
-  std::vector<bool> reached(n, false);
-  reached[static_cast<std::size_t>(from)] = true;
+  if (must_held_.empty()) {
+    return trusted_;  // no trusted locks: the empty set
+  }
+  return {must_held_.data() + (op_base_[function] + op) * words_, words_};
+}
 
+LockSet LockFacts::HeldAcross(std::size_t function, int from, const std::vector<int>& to) const {
+  LockSet result(must_held(function, static_cast<std::size_t>(from)));
+  if (result.empty() || to.empty()) {
+    result.clear();
+    return result;
+  }
+  // Forward flow from `from`: value[i] = subset of the start set never
+  // released on some path from `from` to the entry of op i. `from` itself
+  // is pinned to the start set — a path that revisits it restarts the
+  // atomic region's window.
+  const MirFunction& fn = module_.functions[function];
+  const auto start = static_cast<std::size_t>(from);
+  std::vector<Word> value(fn.ops.size() * words_);
+  std::vector<bool> reached(fn.ops.size(), false);
+  std::copy(result.words().begin(), result.words().end(), value.begin() + start * words_);
+  reached[start] = true;
+
+  std::vector<Word> out(words_);
   std::vector<std::size_t> succs;
-  std::vector<std::size_t> worklist{static_cast<std::size_t>(from)};
+  std::vector<std::size_t> worklist{start};
   while (!worklist.empty()) {
     const std::size_t i = worklist.back();
     worklist.pop_back();
-    std::set<int> out = value[i];
-    ApplyKills(module, function.ops[i], summaries, out);
-    if (function.ops[i].kind == MirOp::Kind::kUnlock) {
-      out.erase(function.ops[i].global);
-    }
-    SuccessorsOf(function, i, succs);
+    std::copy(value.begin() + i * words_, value.begin() + (i + 1) * words_, out.begin());
+    Apply(function, i, out.data(), /*acquire=*/false);
+    SuccessorsOf(fn, i, succs);
     for (const std::size_t s : succs) {
-      if (s == static_cast<std::size_t>(from)) {
+      if (s == start) {
         continue;  // window restarts at the first access
       }
+      Word* into = value.data() + s * words_;
       if (!reached[s]) {
         reached[s] = true;
-        value[s] = out;
+        std::copy(out.begin(), out.end(), into);
         worklist.push_back(s);
-      } else if (IntersectInto(value[s], out)) {
+      } else if (IntersectInto(into, out.data(), words_)) {
         worklist.push_back(s);
       }
     }
   }
 
-  std::set<int> result = start;
+  // An end that no path from the first access reaches holds every lock
+  // vacuously.
   for (const int end : to) {
-    if (!reached[static_cast<std::size_t>(end)]) {
-      continue;  // no path from first access to this end: vacuously held
+    const auto e = static_cast<std::size_t>(end);
+    if (reached[e]) {
+      result.IntersectWith({value.data() + e * words_, words_});
     }
-    IntersectInto(result, value[static_cast<std::size_t>(end)]);
   }
   return result;
+}
+
+void LockFacts::ReleaseByCall(std::size_t function, std::size_t op, LockSet& held) const {
+  if (module_.functions[function].ops[op].kind != MirOp::Kind::kCall) {
+    return;
+  }
+  const int callee = callee_[op_base_[function] + op];
+  if (callee < 0) {
+    held.clear();
+  } else {
+    held.Subtract(may_unlock(static_cast<std::size_t>(callee)));
+  }
 }
 
 }  // namespace kivati

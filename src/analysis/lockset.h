@@ -1,58 +1,118 @@
 // Eraser-style lockset analysis over the lock/unlock intrinsics.
 //
-// Three pieces feed the conflict analysis (analysis/conflict.h):
+// LockFacts holds what the analysis knows about one module. The compiler
+// builds it once per compile and hands it to both conflict runs, to
+// correlation and to its own trusted-lock loop (compile/compiler.cc). It
+// answers four questions:
 //
-//  * LockSummaries — per function, which lock globals a call to it may
-//    (transitively) release, and which lock globals qualify as locks at all
-//    (used only via lock()/unlock(); a lock word that is also stored to or
-//    address-taken cannot guarantee mutual exclusion and is disqualified).
-//  * ComputeMustHeld — per op, the set of locks certainly held when the op
+//  * trusted() — which lock globals qualify as locks at all: used only via
+//    lock()/unlock(). A lock word that is also stored to or address-taken
+//    cannot guarantee mutual exclusion and is disqualified.
+//  * may_unlock() — per function, which lock globals a call to it may
+//    (transitively) release.
+//  * must_held() — per op, the trusted locks certainly held when the op
 //    executes (intersection over all paths; function entry assumed
 //    lock-free, which under-approximates and is therefore sound).
-//  * LocksHeldAcross — the locks held *continuously* from one op to a set of
+//  * HeldAcross() — the locks held *continuously* from one op to a set of
 //    later ops. Must-held at both endpoints is not enough for atomicity: an
 //    unlock/relock between the two accesses of an atomic region opens a
 //    window for a remote lock-protected access, so continuity is what the
 //    lock-protected verdict requires.
+//
+// Every set is a bit set over the module's lock words (LockSet), and every
+// call op's callee is resolved to a function index once, at construction.
 #ifndef KIVATI_ANALYSIS_LOCKSET_H_
 #define KIVATI_ANALYSIS_LOCKSET_H_
 
-#include <set>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/mir.h"
 
 namespace kivati {
 
-struct LockSummaries {
-  // Global indices that appear as lock()/unlock() operands and are never
-  // accessed any other way (no direct load/store, not address-taken): only
-  // these provide mutual exclusion the analysis can rely on.
-  std::set<int> trusted_locks;
+// A set of lock words: bit b stands for LockFacts::lock_words()[b]. The sets
+// of one module all span the same number of 64-bit words, so any number of
+// lock words fits.
+class LockSet {
+ public:
+  using Word = std::uint64_t;
 
-  // Parallel to module.functions: lock globals a call to the function may
-  // release, transitively through its callees. A call to a function with an
-  // unresolvable callee somewhere below it pessimistically may release
-  // every lock.
-  std::vector<std::set<int>> may_unlock;
+  LockSet() = default;
+  // The empty set over `words` words.
+  explicit LockSet(std::size_t words) : words_(words, 0) {}
+  explicit LockSet(std::span<const Word> words) : words_(words.begin(), words.end()) {}
+
+  bool empty() const;
+  // The lowest bit in the set, or -1 when it is empty.
+  int first() const;
+  void insert(std::size_t bit) { words_[bit / 64] |= Word{1} << (bit % 64); }
+  void clear();
+  void IntersectWith(std::span<const Word> other);
+  void Subtract(std::span<const Word> other);
+  std::span<const Word> words() const { return words_; }
+
+ private:
+  std::vector<Word> words_;
 };
 
-LockSummaries ComputeLockSummaries(const MirModule& module);
+class LockFacts {
+ public:
+  using Word = LockSet::Word;
 
-// result[i] = trusted locks certainly held at the entry of op i (before it
-// executes). Intersection over paths; entry of the function holds nothing.
-std::vector<std::set<int>> ComputeMustHeld(const MirModule& module, const MirFunction& function,
-                                           const LockSummaries& summaries);
+  // Finds the lock words, the trusted locks and every function's may-unlock
+  // set. Must-held sets are solved per function on first use. `module` must
+  // outlive this object, and the object is not safe to share across threads.
+  explicit LockFacts(const MirModule& module);
 
-// The subset of `must_held[from]` that survives — is never released — along
-// every path from op `from` to each op in `to` (evaluated at the entry of
-// each target op). Paths that loop back through `from` restart the window,
-// matching begin_atomic semantics (the kernel tracks the most recent first
-// access).
-std::set<int> LocksHeldAcross(const MirModule& module, const MirFunction& function,
-                              const LockSummaries& summaries,
-                              const std::vector<std::set<int>>& must_held, int from,
-                              const std::vector<int>& to);
+  // Globals used as lock()/unlock() operands, ascending.
+  const std::vector<int>& lock_words() const { return lock_words_; }
+  // A set over this module's lock words with no bit set.
+  LockSet EmptySet() const { return LockSet(words_); }
+  // The globals of `set`, ascending.
+  std::vector<int> Globals(std::span<const Word> set) const;
+
+  std::span<const Word> trusted() const { return trusted_; }
+  // Lock words a call to `function` may release, transitively through its
+  // callees. A call to an unresolvable name below it may release every
+  // trusted lock.
+  std::span<const Word> may_unlock(std::size_t function) const {
+    return {may_unlock_.data() + function * words_, words_};
+  }
+  // Trusted locks certainly held at the entry of op `op` (before it runs).
+  std::span<const Word> must_held(std::size_t function, std::size_t op) const;
+
+  // The subset of must_held(function, from) that survives — is never
+  // released — along every path from op `from` to each op in `to`
+  // (evaluated at the entry of each target op). Paths that loop back
+  // through `from` restart the window, matching begin_atomic semantics (the
+  // kernel tracks the most recent first access).
+  LockSet HeldAcross(std::size_t function, int from, const std::vector<int>& to) const;
+
+  // Clears from `held` what op `op` may release if it is a call: its
+  // callee's may-unlock set, or everything when the callee is unresolvable.
+  // Other ops leave `held` as it is.
+  void ReleaseByCall(std::size_t function, std::size_t op, LockSet& held) const;
+
+ private:
+  // The lock effects of op `op` on `set`: its unlock, or what its callee may
+  // release; with `acquire`, also its lock() of a trusted lock.
+  void Apply(std::size_t function, std::size_t op, Word* set, bool acquire) const;
+  void SolveMustHeld(std::size_t function) const;
+
+  const MirModule& module_;
+  std::size_t words_ = 0;             // 64-bit words per set
+  std::vector<int> lock_words_;       // bit -> global
+  std::vector<int> bit_of_;           // global -> bit, or -1
+  std::vector<Word> trusted_;
+  std::vector<Word> may_unlock_;      // words_ per function
+  std::vector<std::size_t> op_base_;  // per function, and one past: first op in the flat tables
+  std::vector<int> callee_;           // per op: the callee's function index, or -1
+  // Per op, words_ each; solved[f] says whether function f's are filled in.
+  mutable std::vector<Word> must_held_;
+  mutable std::vector<bool> solved_;
+};
 
 }  // namespace kivati
 

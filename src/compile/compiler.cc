@@ -25,18 +25,21 @@ CompiledProgram Compile(const TranslationUnit& unit, const CompileOptions& optio
     next += 8 * static_cast<Addr>(words);
   }
 
+  // One lock analysis serves every pass below: fusion rewrites the
+  // annotations, never the module.
+  const LockFacts locks(module);
   ModuleAnnotations annotations;
   ConflictReport conflict;
   CorrelationReport correlation;
   if (options.annotate) {
     annotations = Annotate(module, options.annotator);
-    conflict = AnalyzeConflicts(module, annotations, options.conflict);
+    conflict = AnalyzeConflicts(module, annotations, locks, options.conflict);
     if (options.correlate) {
-      correlation = CorrelateAndFuse(module, annotations, conflict, options.correlation);
+      correlation = CorrelateAndFuse(module, annotations, conflict, locks, options.correlation);
       if (correlation.changed) {
         // Fusion extended host ARs and appended synthesized ones; the
         // conflict verdicts (and prune set) must reflect the new shapes.
-        conflict = AnalyzeConflicts(module, annotations, options.conflict);
+        conflict = AnalyzeConflicts(module, annotations, locks, options.conflict);
       }
     }
   }
@@ -52,7 +55,7 @@ CompiledProgram Compile(const TranslationUnit& unit, const CompileOptions& optio
                                     static_cast<std::uint64_t>(global.init_value));
     }
   }
-  for (const int global : ComputeLockSummaries(module).trusted_locks) {
+  for (const int global : locks.Globals(locks.trusted())) {
     out.lock_addrs.insert(module.globals[static_cast<std::size_t>(global)].addr);
   }
   out.sync_ars = std::move(annotations.sync_ars);

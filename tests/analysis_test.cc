@@ -493,8 +493,9 @@ TEST(AtomicRegionTest, MergedRegionCitesFirstAccessLine) {
 
   // Fuse g/h (co-accessed in writer and writer2, support 2) and re-check:
   // lines never move off the first access.
-  const ConflictReport conflict = AnalyzeConflicts(m, ann, {});
-  const CorrelationReport report = CorrelateAndFuse(m, ann, conflict);
+  const LockFacts locks(m);
+  const ConflictReport conflict = AnalyzeConflicts(m, ann, locks, {});
+  const CorrelationReport report = CorrelateAndFuse(m, ann, conflict, locks);
   ASSERT_TRUE(report.changed);
   check_first_access_lines();
 

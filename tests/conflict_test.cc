@@ -1,12 +1,20 @@
 // Whole-module conflict & lockset analysis (docs/analysis.md): golden
-// verdicts over small programs plus unit coverage of the lockset pass.
+// verdicts over small programs, unit coverage of the lockset pass, and the
+// bit-set lockset analysis against the std::set one it replaced.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <sstream>
 
 #include "analysis/atomic_regions.h"
 #include "analysis/conflict.h"
 #include "analysis/lockset.h"
 #include "analysis/mir_builder.h"
+#include "apps/bugs.h"
+#include "apps/workloads.h"
 #include "lang/parser.h"
+#include "tests/program_generator.h"
 
 namespace kivati {
 namespace {
@@ -23,7 +31,7 @@ Analysis Analyze(const std::string& source, const ConflictOptions& options = {})
   Analysis a;
   a.module = Build(source);
   a.annotations = Annotate(a.module);
-  a.report = AnalyzeConflicts(a.module, a.annotations, options);
+  a.report = AnalyzeConflicts(a.module, a.annotations, LockFacts(a.module), options);
   return a;
 }
 
@@ -286,9 +294,9 @@ TEST(LocksetTest, TrustedLocksExcludeDirectlyAccessedWords) {
       dirty = 1;
     }
   )");
-  const LockSummaries s = ComputeLockSummaries(m);
-  EXPECT_TRUE(s.trusted_locks.contains(GlobalIndex(m, "clean")));
-  EXPECT_FALSE(s.trusted_locks.contains(GlobalIndex(m, "dirty")));
+  const LockFacts s(m);
+  EXPECT_EQ(s.lock_words(), (std::vector<int>{GlobalIndex(m, "clean"), GlobalIndex(m, "dirty")}));
+  EXPECT_EQ(s.Globals(s.trusted()), std::vector<int>{GlobalIndex(m, "clean")});
 }
 
 TEST(LocksetTest, MayUnlockIsTransitive) {
@@ -298,14 +306,14 @@ TEST(LocksetTest, MayUnlockIsTransitive) {
     void outer(int id) { release(id); }
     void pure(int id) { int x = id; }
   )");
-  const LockSummaries s = ComputeLockSummaries(m);
-  const int lock = GlobalIndex(m, "m");
+  const LockFacts s(m);
+  const std::vector<int> lock{GlobalIndex(m, "m")};
   const auto index = [&](const std::string& name) {
     return static_cast<std::size_t>(m.FindFunction(name) - m.functions.data());
   };
-  EXPECT_TRUE(s.may_unlock[index("release")].contains(lock));
-  EXPECT_TRUE(s.may_unlock[index("outer")].contains(lock));
-  EXPECT_FALSE(s.may_unlock[index("pure")].contains(lock));
+  EXPECT_EQ(s.Globals(s.may_unlock(index("release"))), lock);
+  EXPECT_EQ(s.Globals(s.may_unlock(index("outer"))), lock);
+  EXPECT_TRUE(s.Globals(s.may_unlock(index("pure"))).empty());
 }
 
 TEST(LocksetTest, MustHeldCoversTheCriticalSection) {
@@ -321,21 +329,370 @@ TEST(LocksetTest, MustHeldCoversTheCriticalSection) {
     }
   )");
   const MirFunction& f = *m.FindFunction("f");
-  const LockSummaries s = ComputeLockSummaries(m);
-  const std::vector<std::set<int>> held = ComputeMustHeld(m, f, s);
-  const int lock = GlobalIndex(m, "m");
+  const auto function = static_cast<std::size_t>(&f - m.functions.data());
+  const LockFacts s(m);
+  const std::vector<int> lock{GlobalIndex(m, "m")};
   // The store of 2 sits between lock and unlock; the stores of 1 and 3
   // don't. Identify them by the stored constant's op order.
   std::vector<bool> store_held;
   for (std::size_t i = 0; i < f.ops.size(); ++i) {
     if (f.ops[i].kind == MirOp::Kind::kStoreGlobal) {
-      store_held.push_back(held[i].contains(lock));
+      store_held.push_back(s.Globals(s.must_held(function, i)) == lock);
     }
   }
   ASSERT_EQ(store_held.size(), 3u);
   EXPECT_FALSE(store_held[0]);
   EXPECT_TRUE(store_held[1]);
   EXPECT_FALSE(store_held[2]);
+}
+
+// --- The bit-set lock analysis against the reference ------------------------
+
+// The std::set lockset analysis LockFacts replaced, kept as the oracle. It
+// looks every callee up by name and runs must-held as a round-robin pull
+// fixed point that copies each predecessor's set on every sweep.
+struct ReferenceSummaries {
+  std::set<int> trusted_locks;
+  std::vector<std::set<int>> may_unlock;  // per function
+};
+
+bool ReferenceIntersectInto(std::set<int>& into, const std::set<int>& with) {
+  bool changed = false;
+  for (auto it = into.begin(); it != into.end();) {
+    if (!with.contains(*it)) {
+      it = into.erase(it);
+      changed = true;
+    } else {
+      ++it;
+    }
+  }
+  return changed;
+}
+
+void ReferenceApplyKills(const MirModule& module, const MirOp& op,
+                         const ReferenceSummaries& summaries, std::set<int>& held) {
+  switch (op.kind) {
+    case MirOp::Kind::kUnlock:
+      held.erase(op.global);
+      break;
+    case MirOp::Kind::kCall: {
+      const MirFunction* callee = module.FindFunction(op.callee);
+      if (callee == nullptr) {
+        held.clear();
+        break;
+      }
+      const std::size_t c = static_cast<std::size_t>(callee - module.functions.data());
+      for (const int lock : summaries.may_unlock[c]) {
+        held.erase(lock);
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+ReferenceSummaries ReferenceLockSummaries(const MirModule& module) {
+  ReferenceSummaries summaries;
+  summaries.may_unlock.assign(module.functions.size(), {});
+  std::set<int> lock_words;
+  std::set<int> tainted;
+  for (const MirFunction& function : module.functions) {
+    for (const MirOp& op : function.ops) {
+      switch (op.kind) {
+        case MirOp::Kind::kLock:
+        case MirOp::Kind::kUnlock:
+          lock_words.insert(op.global);
+          break;
+        case MirOp::Kind::kLoadGlobal:
+        case MirOp::Kind::kStoreGlobal:
+        case MirOp::Kind::kAddrGlobal:
+          tainted.insert(op.global);
+          break;
+        case MirOp::Kind::kLoadIndex:
+        case MirOp::Kind::kStoreIndex:
+        case MirOp::Kind::kAddrIndex:
+          if (op.array.space == VarRef::Space::kGlobal) {
+            tainted.insert(op.array.index);
+          }
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  std::set_difference(lock_words.begin(), lock_words.end(), tainted.begin(), tainted.end(),
+                      std::inserter(summaries.trusted_locks, summaries.trusted_locks.end()));
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t f = 0; f < module.functions.size(); ++f) {
+      std::set<int>& mine = summaries.may_unlock[f];
+      const std::size_t before = mine.size();
+      for (const MirOp& op : module.functions[f].ops) {
+        if (op.kind == MirOp::Kind::kUnlock) {
+          mine.insert(op.global);
+        } else if (op.kind == MirOp::Kind::kCall) {
+          const MirFunction* callee = module.FindFunction(op.callee);
+          if (callee == nullptr) {
+            mine.insert(summaries.trusted_locks.begin(), summaries.trusted_locks.end());
+          } else {
+            const std::size_t c = static_cast<std::size_t>(callee - module.functions.data());
+            mine.insert(summaries.may_unlock[c].begin(), summaries.may_unlock[c].end());
+          }
+        }
+      }
+      changed |= mine.size() != before;
+    }
+  }
+  return summaries;
+}
+
+std::vector<std::set<int>> ReferenceMustHeld(const MirModule& module, const MirFunction& function,
+                                             const ReferenceSummaries& summaries) {
+  const std::size_t n = function.ops.size();
+  std::vector<std::set<int>> in(n, summaries.trusted_locks);
+  if (n == 0) {
+    return in;
+  }
+  in[0].clear();
+  std::vector<std::vector<std::size_t>> preds(n);
+  std::vector<std::size_t> succs;
+  for (std::size_t i = 0; i < n; ++i) {
+    SuccessorsOf(function, i, succs);
+    for (const std::size_t s : succs) {
+      preds[s].push_back(i);
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::set<int> merged;
+      if (i == 0) {
+        merged.clear();
+      } else if (preds[i].empty()) {
+        continue;
+      } else {
+        bool first = true;
+        for (const std::size_t p : preds[i]) {
+          std::set<int> out = in[p];
+          const MirOp& op = function.ops[p];
+          if (op.kind == MirOp::Kind::kLock && summaries.trusted_locks.contains(op.global)) {
+            out.insert(op.global);
+          }
+          ReferenceApplyKills(module, op, summaries, out);
+          if (first) {
+            merged = std::move(out);
+            first = false;
+          } else {
+            ReferenceIntersectInto(merged, out);
+          }
+        }
+      }
+      if (merged != in[i]) {
+        in[i] = std::move(merged);
+        changed = true;
+      }
+    }
+  }
+  return in;
+}
+
+std::set<int> ReferenceLocksHeldAcross(const MirModule& module, const MirFunction& function,
+                                       const ReferenceSummaries& summaries,
+                                       const std::vector<std::set<int>>& must_held, int from,
+                                       const std::vector<int>& to) {
+  const std::size_t n = function.ops.size();
+  const std::set<int>& start = must_held[static_cast<std::size_t>(from)];
+  if (start.empty() || to.empty()) {
+    return {};
+  }
+  std::vector<std::set<int>> value(n, start);
+  std::vector<bool> reached(n, false);
+  reached[static_cast<std::size_t>(from)] = true;
+  std::vector<std::size_t> succs;
+  std::vector<std::size_t> worklist{static_cast<std::size_t>(from)};
+  while (!worklist.empty()) {
+    const std::size_t i = worklist.back();
+    worklist.pop_back();
+    std::set<int> out = value[i];
+    ReferenceApplyKills(module, function.ops[i], summaries, out);
+    SuccessorsOf(function, i, succs);
+    for (const std::size_t s : succs) {
+      if (s == static_cast<std::size_t>(from)) {
+        continue;
+      }
+      if (!reached[s]) {
+        reached[s] = true;
+        value[s] = out;
+        worklist.push_back(s);
+      } else if (ReferenceIntersectInto(value[s], out)) {
+        worklist.push_back(s);
+      }
+    }
+  }
+  std::set<int> result = start;
+  for (const int end : to) {
+    if (reached[static_cast<std::size_t>(end)]) {
+      ReferenceIntersectInto(result, value[static_cast<std::size_t>(end)]);
+    }
+  }
+  return result;
+}
+
+std::set<int> AsSet(const std::vector<int>& globals) { return {globals.begin(), globals.end()}; }
+
+// The widest lock bit any compared must-held set carried, and how many
+// compared HeldAcross results were not empty.
+int widest_must_held_bit = -1;
+int nonempty_held_across = 0;
+
+// Compares every fact LockFacts gives about `source`'s module with the
+// reference: trusted locks, may-unlock sets, must-held at every op, and
+// HeldAcross for every atomic region's (first access, ends) under all four
+// annotator configurations, plus every short forward window (from op i to
+// each of ops i+1..i+4, and to all four at once).
+void ExpectLockFactsMatchReference(const std::string& source, const std::string& name) {
+  SCOPED_TRACE(name);
+  const MirModule module = Build(source);
+  const LockFacts facts(module);
+  const ReferenceSummaries reference = ReferenceLockSummaries(module);
+  ASSERT_EQ(AsSet(facts.Globals(facts.trusted())), reference.trusted_locks);
+  std::vector<std::vector<std::set<int>>> must_held;
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    const MirFunction& fn = module.functions[f];
+    SCOPED_TRACE(fn.name);
+    EXPECT_EQ(AsSet(facts.Globals(facts.may_unlock(f))), reference.may_unlock[f]);
+    must_held.push_back(ReferenceMustHeld(module, fn, reference));
+    for (std::size_t i = 0; i < fn.ops.size(); ++i) {
+      const std::vector<int> held = facts.Globals(facts.must_held(f, i));
+      ASSERT_EQ(AsSet(held), must_held[f][i]) << "op " << i;
+      const auto lock_bit = [&](int global) {
+        return static_cast<int>(std::find(facts.lock_words().begin(), facts.lock_words().end(),
+                                          global) -
+                                facts.lock_words().begin());
+      };
+      for (const int global : held) {
+        widest_must_held_bit = std::max(widest_must_held_bit, lock_bit(global));
+      }
+    }
+  }
+  const auto expect_held_across = [&](std::size_t f, int from, const std::vector<int>& to) {
+    const std::set<int> expected = ReferenceLocksHeldAcross(
+        module, module.functions[f], reference, must_held[f], from, to);
+    EXPECT_EQ(AsSet(facts.Globals(facts.HeldAcross(f, from, to).words())), expected)
+        << module.functions[f].name << " from op " << from;
+    nonempty_held_across += expected.empty() ? 0 : 1;
+  };
+  for (const bool interprocedural : {false, true}) {
+    for (const bool precise_aliasing : {false, true}) {
+      AnnotateOptions options;
+      options.interprocedural = interprocedural;
+      options.precise_aliasing = precise_aliasing;
+      const ModuleAnnotations annotations = Annotate(module, options);
+      for (std::size_t f = 0; f < module.functions.size(); ++f) {
+        for (const FunctionAr& ar : annotations.functions[f].ars) {
+          std::vector<int> ends;
+          for (const auto& [op, type] : ar.ends) {
+            ends.push_back(op);
+          }
+          expect_held_across(f, ar.first_op, ends);
+        }
+      }
+    }
+  }
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    const int n = static_cast<int>(module.functions[f].ops.size());
+    for (int from = 0; from < n; ++from) {
+      std::vector<int> window;
+      for (int to = from + 1; to < std::min(n, from + 5); ++to) {
+        expect_held_across(f, from, {to});
+        window.push_back(to);
+      }
+      expect_held_across(f, from, window);
+    }
+  }
+}
+
+TEST(LockFactsTest, MatchesReferenceOnEveryAppCorpusBugAndGeneratedProgram) {
+  nonempty_held_across = 0;
+  for (const apps::App& app : apps::AllPerformanceApps()) {
+    ExpectLockFactsMatchReference(app.source, app.workload.name);
+  }
+  for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
+    for (const apps::BugInfo& bug : *corpus) {
+      const apps::App app = apps::MakeBugApp(bug);
+      ExpectLockFactsMatchReference(app.source, app.workload.name);
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ExpectLockFactsMatchReference(testing::ProgramGenerator(seed).Generate(),
+                                  "generated " + std::to_string(seed));
+  }
+  EXPECT_GE(nonempty_held_across, 100);
+}
+
+// No app or corpus bug has more than a handful of lock words, so only a
+// generated module reaches sets of several words. `release_all` makes 150
+// globals lock words; helpers lock and release them in overlapping nests,
+// call each other (recursively) and a name no function defines, and two
+// lock words are disqualified by a direct store. `worker` holds locks in
+// all three words of its sets across those calls and a loop that releases
+// and retakes the last one.
+TEST(LockFactsTest, MatchesReferenceAcrossThreeSetWords) {
+  constexpr int kLocks = 150;
+  std::ostringstream source;
+  source << "int g;\n";
+  for (int l = 0; l < kLocks; ++l) {
+    source << "sync int m" << l << ";\n";
+  }
+  source << "void release_all(int x) {\n";
+  for (int l = 0; l < kLocks; ++l) {
+    source << "  unlock(m" << l << ");\n";
+  }
+  source << "}\n";
+  for (int h = 0; h < 6; ++h) {
+    source << "void helper" << h << "(int x) {\n";
+    for (int k = 0; k < 5; ++k) {
+      const int l = (h * 37 + k * 29) % kLocks;
+      source << "  lock(m" << l << ");\n  g = g + x;\n";
+      if (k % 2 == 1) {
+        source << "  unlock(m" << l << ");\n";
+      }
+    }
+    if (h % 3 == 0) {
+      source << "  m" << (h * 11 + 64) % kLocks << " = 0;\n";
+    }
+    if (h > 0) {
+      source << "  if (x > " << h << ") { helper" << (h + 2) % 6 << "(x - 1); }\n";
+    }
+    if (h == 4) {
+      source << "  mystery(x);\n";
+    }
+    source << "  g = g + 1;\n";
+    for (int k = 4; k >= 0; k -= 2) {
+      source << "  unlock(m" << (h * 37 + k * 29) % kLocks << ");\n";
+    }
+    source << "}\n";
+  }
+  const std::vector<int> held = {0, 40, 64, 80, 120, 130, 140, kLocks - 1};
+  source << "void worker(int id) {\n";
+  for (const int l : held) {
+    source << "  lock(m" << l << ");\n";
+  }
+  source << "  g = g + id;\n  helper1(id);\n  g = g + 2;\n";
+  source << "  for (int i = 0; i < id; i = i + 1) {\n    unlock(m" << kLocks - 1 << ");\n"
+         << "    g = g + i;\n    lock(m" << kLocks - 1 << ");\n  }\n  g = g - 1;\n";
+  for (const int l : held) {
+    source << "  unlock(m" << l << ");\n";
+  }
+  source << "  g = g - 1;\n}\n";
+  widest_must_held_bit = -1;
+  nonempty_held_across = 0;
+  ExpectLockFactsMatchReference(source.str(), "generated, 150 lock words");
+  EXPECT_GE(widest_must_held_bit, 128);
+  EXPECT_GE(nonempty_held_across, 20);
 }
 
 }  // namespace

@@ -21,8 +21,9 @@ MirModule Build(const std::string& source) { return BuildMir(Parse(source)); }
 // roots), then the correlation pass.
 CorrelationReport Correlate(const MirModule& module, ModuleAnnotations& annotations,
                             const CorrelationOptions& options = {}) {
-  const ConflictReport conflict = AnalyzeConflicts(module, annotations, {});
-  return CorrelateAndFuse(module, annotations, conflict, options);
+  const LockFacts locks(module);
+  const ConflictReport conflict = AnalyzeConflicts(module, annotations, locks, {});
+  return CorrelateAndFuse(module, annotations, conflict, locks, options);
 }
 
 const FunctionAnnotations& AnnotationsFor(const MirModule& m, const ModuleAnnotations& ann,
