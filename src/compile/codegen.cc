@@ -1,5 +1,6 @@
 #include "compile/codegen.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -36,65 +37,72 @@ Opcode OpcodeFor(BinOp op) {
 
 bool SwapsOperands(BinOp op) { return op == BinOp::kGt || op == BinOp::kGe; }
 
+// Emits one function per Run call. One object serves a whole module, so its
+// per-function arrays keep their storage from one function to the next.
 class FunctionCodegen {
  public:
-  FunctionCodegen(ProgramBuilder& builder, const MirModule& module, const MirFunction& function,
-                  const FunctionAnnotations* annotations, bool emit_replica_stores,
+  FunctionCodegen(ProgramBuilder& builder, const MirModule& module, bool emit_replica_stores,
                   const std::unordered_set<ArId>* pruned)
-      : b_(builder),
-        module_(module),
-        f_(function),
-        annotations_(annotations),
-        emit_replica_(emit_replica_stores),
-        pruned_(pruned) {}
+      : b_(builder), module_(module), emit_replica_(emit_replica_stores), pruned_(pruned) {}
 
-  void Run() {
+  void Run(const MirFunction& function, const FunctionAnnotations* annotations) {
+    f_ = &function;
+    annotations_ = annotations;
     LayoutFrame();
     IndexAnnotations();
 
-    b_.BeginFunction(f_.name);
+    b_.BeginFunction(f_->name);
     // Prologue: allocate the frame, home the parameters.
     if (frame_size_ > 0) {
       b_.AddI(kRegSp, kRegSp, -static_cast<std::int64_t>(frame_size_));
     }
-    for (unsigned i = 0; i < f_.num_params; ++i) {
+    for (unsigned i = 0; i < f_->num_params; ++i) {
       b_.Store(Slot(static_cast<int>(i)), static_cast<RegId>(i));
     }
 
-    op_labels_.resize(f_.ops.size() + 1);
+    op_labels_.resize(f_->ops.size() + 1);
     for (auto& label : op_labels_) {
       label = b_.NewLabel();
     }
-    for (std::size_t i = 0; i < f_.ops.size(); ++i) {
+    std::size_t begin = 0;
+    std::size_t replica = 0;
+    std::size_t end = 0;
+    for (std::size_t i = 0; i < f_->ops.size(); ++i) {
       b_.Bind(op_labels_[i]);
-      EmitBegins(i);
+      for (; begin < begins_.size() && begins_[begin].op == i; ++begin) {
+        EmitBegin(*begins_[begin].ar);
+      }
       EmitOp(i);
-      EmitReplicas(i);
-      EmitEnds(i);
+      for (; replica < replicas_.size() && replicas_[replica].op == i; ++replica) {
+        EmitReplica(i, *replicas_[replica].ar);
+      }
+      for (; end < ends_.size() && ends_[end].op == i; ++end) {
+        b_.EndAtomic(ends_[end].ar->id, ends_[end].type);
+      }
     }
     // Branches may target one-past-the-end; give them an epilogue.
-    b_.Bind(op_labels_[f_.ops.size()]);
+    b_.Bind(op_labels_[f_->ops.size()]);
     EmitEpilogue();
     b_.EndFunction();
   }
 
  private:
   void LayoutFrame() {
-    slot_off_.resize(f_.locals.size());
+    slot_off_.resize(f_->locals.size());
     std::int64_t offset = 0;
-    for (std::size_t i = 0; i < f_.locals.size(); ++i) {
+    for (std::size_t i = 0; i < f_->locals.size(); ++i) {
       slot_off_[i] = offset;
       const std::int64_t words =
-          f_.locals[i].array_size > 0 ? f_.locals[i].array_size : 1;
+          f_->locals[i].array_size > 0 ? f_->locals[i].array_size : 1;
       offset += 8 * words;
     }
     frame_size_ = static_cast<std::uint64_t>(offset);
   }
 
   void IndexAnnotations() {
-    begins_at_.assign(f_.ops.size(), {});
-    ends_at_.assign(f_.ops.size(), {});
-    replicas_at_.assign(f_.ops.size(), {});
+    begins_.clear();
+    ends_.clear();
+    replicas_.clear();
     if (annotations_ == nullptr) {
       return;
     }
@@ -102,12 +110,13 @@ class FunctionCodegen {
       if (pruned_ != nullptr && pruned_->contains(ar.id)) {
         continue;  // statically proven unviolable: drop all its annotations
       }
-      begins_at_[static_cast<std::size_t>(ar.first_op)].push_back(&ar);
+      const auto first = static_cast<std::size_t>(ar.first_op);
+      begins_.push_back({first, &ar});
       if (emit_replica_ && ar.needs_replica) {
-        replicas_at_[static_cast<std::size_t>(ar.first_op)].push_back(&ar);
+        replicas_.push_back({first, &ar});
       }
       for (const auto& [op, type] : ar.ends) {
-        ends_at_[static_cast<std::size_t>(op)].emplace_back(ar.id, type);
+        ends_.push_back({static_cast<std::size_t>(op), &ar, type});
         // A write-type second access also refreshes the AR's shared-page
         // value: a remote access trapped between this write and the
         // end_atomic must be rolled back to the post-write value. Fused
@@ -115,9 +124,13 @@ class FunctionCodegen {
         // that op's value belongs to the other variable, so only ops that
         // touch this AR's own variable (or calls, which reload it) refresh.
         if (emit_replica_ && type == AccessType::kWrite && EndAccessesOwnVar(ar, op)) {
-          replicas_at_[static_cast<std::size_t>(op)].push_back(&ar);
+          replicas_.push_back({static_cast<std::size_t>(op), &ar});
         }
       }
+    }
+    const auto by_op = [](const Mark& a, const Mark& b) { return a.op < b.op; };
+    for (std::vector<Mark>* marks : {&begins_, &ends_, &replicas_}) {
+      std::stable_sort(marks->begin(), marks->end(), by_op);
     }
   }
 
@@ -125,7 +138,7 @@ class FunctionCodegen {
   // variable. Single-variable AR ends always do (pairs are same-variable);
   // a call end stands for a callee access to the variable.
   bool EndAccessesOwnVar(const FunctionAr& ar, int op_index) const {
-    const MirOp& op = f_.ops[static_cast<std::size_t>(op_index)];
+    const MirOp& op = f_->ops[static_cast<std::size_t>(op_index)];
     if (op.kind == MirOp::Kind::kCall) {
       return true;
     }
@@ -159,89 +172,78 @@ class FunctionCodegen {
   // Materializes the begin_atomic for `ar` (paper §3.1: five arguments —
   // AR id, shared variable address, size, remote watch type, first access
   // type — the address possibly computed at run time).
-  void EmitBegins(std::size_t op_index) {
-    for (const FunctionAr* ar : begins_at_[op_index]) {
-      const MirOp& op = f_.ops[static_cast<std::size_t>(ar->first_op)];
-      MemOperand address;
-      switch (op.kind) {
-        case MirOp::Kind::kLoadGlobal:
-        case MirOp::Kind::kStoreGlobal:
-        case MirOp::Kind::kLock:
-        case MirOp::Kind::kUnlock:
-          address = MemOperand::Absolute(GlobalAddr(op.global));
-          break;
-        case MirOp::Kind::kLoadIndex:
-        case MirOp::Kind::kStoreIndex:
-          EmitElementAddress(kS0, op.array, op.a);
-          address = MemOperand::Indirect(kS0);
-          break;
-        case MirOp::Kind::kLoadPtr:
-        case MirOp::Kind::kStorePtr:
-          b_.Load(kS0, Slot(op.a));
-          address = MemOperand::Indirect(kS0);
-          break;
-        case MirOp::Kind::kLoadLocalMem:
-        case MirOp::Kind::kStoreLocalMem:
-          address = MemOperand::Indirect(kRegSp,
-                                         slot_off_[static_cast<std::size_t>(op.local_mem)]);
-          break;
-        case MirOp::Kind::kCall:
-          // Inter-procedural AR starting at a call site: the annotator only
-          // creates these for globals the callee may access.
-          assert(ar->var.space == VarRef::Space::kGlobal);
-          address = MemOperand::Absolute(GlobalAddr(ar->var.index));
-          break;
-        default:
-          assert(false && "AR first op is not a shared access");
-          continue;
-      }
-      // kABegin carries the joint mask to the kernel, which installs it at
-      // region entry. Annotations are translation barriers
-      // (exec/block_translate.h): every AR boundary hands control back to
-      // the generic loop.
-      b_.BeginAtomic(ar->id, address, 8, ar->watch, ar->first_type, ar->joint_types);
+  void EmitBegin(const FunctionAr& ar) {
+    const MirOp& op = f_->ops[static_cast<std::size_t>(ar.first_op)];
+    MemOperand address;
+    switch (op.kind) {
+      case MirOp::Kind::kLoadGlobal:
+      case MirOp::Kind::kStoreGlobal:
+      case MirOp::Kind::kLock:
+      case MirOp::Kind::kUnlock:
+        address = MemOperand::Absolute(GlobalAddr(op.global));
+        break;
+      case MirOp::Kind::kLoadIndex:
+      case MirOp::Kind::kStoreIndex:
+        EmitElementAddress(kS0, op.array, op.a);
+        address = MemOperand::Indirect(kS0);
+        break;
+      case MirOp::Kind::kLoadPtr:
+      case MirOp::Kind::kStorePtr:
+        b_.Load(kS0, Slot(op.a));
+        address = MemOperand::Indirect(kS0);
+        break;
+      case MirOp::Kind::kLoadLocalMem:
+      case MirOp::Kind::kStoreLocalMem:
+        address = MemOperand::Indirect(kRegSp, slot_off_[static_cast<std::size_t>(op.local_mem)]);
+        break;
+      case MirOp::Kind::kCall:
+        // Inter-procedural AR starting at a call site: the annotator only
+        // creates these for globals the callee may access.
+        assert(ar.var.space == VarRef::Space::kGlobal);
+        address = MemOperand::Absolute(GlobalAddr(ar.var.index));
+        break;
+      default:
+        assert(false && "AR first op is not a shared access");
+        return;
     }
+    // kABegin carries the joint mask to the kernel, which installs it at
+    // region entry. Annotations are translation barriers
+    // (exec/block_translate.h): every AR boundary hands control back to
+    // the generic loop.
+    b_.BeginAtomic(ar.id, address, 8, ar.watch, ar.first_type, ar.joint_types);
   }
 
   // Shared-page replica of the value just written by a local write that
   // opens or closes an AR (optimization 3). Reads the value from the
   // private slot, never from the shared variable, so it adds no watched
   // access.
-  void EmitReplicas(std::size_t op_index) {
-    for (const FunctionAr* ar : replicas_at_[op_index]) {
-      const MirOp& op = f_.ops[op_index];
-      switch (op.kind) {
-        case MirOp::Kind::kStoreGlobal:
-        case MirOp::Kind::kStoreLocalMem:
-          b_.Load(kS0, Slot(op.a));
-          break;
-        case MirOp::Kind::kStoreIndex:
-        case MirOp::Kind::kStorePtr:
-          b_.Load(kS0, Slot(op.b));
-          break;
-        case MirOp::Kind::kLock:
-          b_.LoadImm(kS0, 1);
-          break;
-        case MirOp::Kind::kUnlock:
-          b_.LoadImm(kS0, 0);
-          break;
-        case MirOp::Kind::kCall:
-          // The write happened somewhere inside the callee: reload the
-          // variable itself (a local access — suppressed for the owner
-          // under optimization 3, so it adds no trap).
-          b_.Load(kS0, MemOperand::Absolute(GlobalAddr(ar->var.index)));
-          break;
-        default:
-          continue;
-      }
-      b_.Store(MemOperand::Absolute(SharedPageSlot(ar->id)), kS0);
+  void EmitReplica(std::size_t op_index, const FunctionAr& ar) {
+    const MirOp& op = f_->ops[op_index];
+    switch (op.kind) {
+      case MirOp::Kind::kStoreGlobal:
+      case MirOp::Kind::kStoreLocalMem:
+        b_.Load(kS0, Slot(op.a));
+        break;
+      case MirOp::Kind::kStoreIndex:
+      case MirOp::Kind::kStorePtr:
+        b_.Load(kS0, Slot(op.b));
+        break;
+      case MirOp::Kind::kLock:
+        b_.LoadImm(kS0, 1);
+        break;
+      case MirOp::Kind::kUnlock:
+        b_.LoadImm(kS0, 0);
+        break;
+      case MirOp::Kind::kCall:
+        // The write happened somewhere inside the callee: reload the
+        // variable itself (a local access — suppressed for the owner
+        // under optimization 3, so it adds no trap).
+        b_.Load(kS0, MemOperand::Absolute(GlobalAddr(ar.var.index)));
+        break;
+      default:
+        return;
     }
-  }
-
-  void EmitEnds(std::size_t op_index) {
-    for (const auto& [ar, type] : ends_at_[op_index]) {
-      b_.EndAtomic(ar, type);
-    }
+    b_.Store(MemOperand::Absolute(SharedPageSlot(ar.id)), kS0);
   }
 
   void EmitEpilogue() {
@@ -255,7 +257,7 @@ class FunctionCodegen {
   }
 
   void EmitOp(std::size_t index) {
-    const MirOp& op = f_.ops[index];
+    const MirOp& op = f_->ops[index];
     switch (op.kind) {
       case MirOp::Kind::kConst:
         b_.LoadImm(kS0, op.imm);
@@ -405,30 +407,47 @@ class FunctionCodegen {
     }
   }
 
+  // An annotation at one op: a begin_atomic or replica store for `ar`, or
+  // an end_atomic with the op's access `type`.
+  struct Mark {
+    std::size_t op = 0;
+    const FunctionAr* ar = nullptr;
+    AccessType type = AccessType::kRead;
+  };
+
   ProgramBuilder& b_;
   const MirModule& module_;
-  const MirFunction& f_;
-  const FunctionAnnotations* annotations_;
   const bool emit_replica_;
   const std::unordered_set<ArId>* pruned_;
 
+  // The function being emitted, and its state.
+  const MirFunction* f_ = nullptr;
+  const FunctionAnnotations* annotations_ = nullptr;
   std::vector<std::int64_t> slot_off_;
   std::uint64_t frame_size_ = 0;
   std::vector<ProgramBuilder::Label> op_labels_;
-  std::vector<std::vector<const FunctionAr*>> begins_at_;
-  std::vector<std::vector<std::pair<ArId, AccessType>>> ends_at_;
-  std::vector<std::vector<const FunctionAr*>> replicas_at_;
+  // Each in op order, and in the order the ARs list them within one op.
+  std::vector<Mark> begins_;
+  std::vector<Mark> ends_;
+  std::vector<Mark> replicas_;
 };
 
 }  // namespace
 
 Program GenerateCode(const MirModule& module, const ModuleAnnotations* annotations,
                      bool emit_replica_stores, const std::unordered_set<ArId>* pruned) {
+  // The apps and corpus bugs compile to 2.8-3.0 instructions per MIR op,
+  // frames and annotations included. Each op has a label, and each function
+  // an entry label and an epilogue label.
+  std::size_t ops = 0;
+  for (const MirFunction& function : module.functions) {
+    ops += function.ops.size();
+  }
   ProgramBuilder builder;
+  builder.Reserve(3 * ops + 4 * module.functions.size(), ops + 2 * module.functions.size());
+  FunctionCodegen codegen(builder, module, emit_replica_stores, pruned);
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
-    const FunctionAnnotations* fa =
-        annotations != nullptr ? &annotations->functions[i] : nullptr;
-    FunctionCodegen(builder, module, module.functions[i], fa, emit_replica_stores, pruned).Run();
+    codegen.Run(module.functions[i], annotations != nullptr ? &annotations->functions[i] : nullptr);
   }
   return builder.Build();
 }

@@ -25,21 +25,22 @@ CompiledProgram Compile(const TranslationUnit& unit, const CompileOptions& optio
     next += 8 * static_cast<Addr>(words);
   }
 
-  // One lock analysis serves every pass below: fusion rewrites the
-  // annotations, never the module.
+  // One lock analysis and one conflict analyzer serve every pass below:
+  // fusion rewrites the annotations, never the module.
   const LockFacts locks(module);
   ModuleAnnotations annotations;
   ConflictReport conflict;
   CorrelationReport correlation;
   if (options.annotate) {
     annotations = Annotate(module, options.annotator);
-    conflict = AnalyzeConflicts(module, annotations, locks, options.conflict);
+    const ConflictAnalyzer analyzer(module, locks, options.conflict);
+    conflict = analyzer.Run(annotations);
     if (options.correlate) {
       correlation = CorrelateAndFuse(module, annotations, conflict, locks, options.correlation);
       if (correlation.changed) {
         // Fusion extended host ARs and appended synthesized ones; the
         // conflict verdicts (and prune set) must reflect the new shapes.
-        conflict = AnalyzeConflicts(module, annotations, locks, options.conflict);
+        conflict = analyzer.Run(annotations);
       }
     }
   }

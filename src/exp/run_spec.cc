@@ -150,21 +150,8 @@ std::shared_ptr<const apps::App> ResolveApp(const RunSpec& spec) {
       compile_options.conflict.roots.emplace_back(function, 1);
     }
   }
-  std::string source = ReadFileOrThrow(spec.source_path);
-  auto compiled = std::make_shared<CompiledProgram>(CompileSource(source, compile_options));
-  auto app = std::make_shared<apps::App>();
-  app->source = std::move(source);
-  app->workload.name = spec.source_path;
-  app->workload.program = compiled->program;
-  app->workload.threads = std::move(threads);
-  app->workload.init = [compiled](AddressSpace& memory) { compiled->InitMemory(memory); };
-  app->workload.sync_var_ars = compiled->sync_ars;
-  app->workload.ars_annotated = compiled->num_ars;
-  app->workload.ars_no_remote_writer = compiled->conflict.no_remote_writer;
-  app->workload.ars_lock_protected = compiled->conflict.lock_protected;
-  app->workload.ars_watch_required = compiled->conflict.watch_required;
-  app->workload.ars_pruned = compiled->conflict.pruned.size();
-  app->compiled = compiled;
+  auto app = std::make_shared<const apps::App>(apps::CompileApp(
+      spec.source_path, ReadFileOrThrow(spec.source_path), compile_options, std::move(threads)));
   for (const auto& [function, arg] : app->workload.threads) {
     (void)arg;
     if (app->workload.program.FindFunction(function) == nullptr) {

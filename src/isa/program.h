@@ -85,6 +85,10 @@ class ProgramBuilder {
 
   ProgramBuilder();
 
+  // Sizes the instruction and label arrays for about `instructions`
+  // instructions and `labels` labels; the builder still grows past them.
+  void Reserve(std::size_t instructions, std::size_t labels);
+
   // Creates a fresh unbound label.
   Label NewLabel();
   // Binds `label` to the next emitted instruction.

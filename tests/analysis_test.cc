@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -118,6 +119,49 @@ TEST(MirBuilderTest, RejectsUnknownVariable) {
 
 TEST(MirBuilderTest, RejectsLockOnLocal) {
   EXPECT_THROW(Build("void f() { int l; lock(l); }"), LoweringError);
+}
+
+// A name may be declared once per block scope. A nested block, a sibling
+// block, a for loop's body (over its init) and the function body (over a
+// parameter) each open a new scope. Names resolve to the innermost
+// declaration, and to the outer one again once the inner block ends.
+TEST(MirBuilderTest, DeclarationsAreScopedPerBlock) {
+  EXPECT_THROW(Build("void f() { int x = 1; int x = 2; }"), LoweringError);
+  EXPECT_THROW(Build("void f(int a) { if (a) { int y; int y; } }"), LoweringError);
+  const MirModule m = Build(R"(
+    int g;
+    void f(int a) {
+      int a = 3;
+      int x = 1;
+      if (a) { int x = 2; g = x; }
+      if (a) { int x = 4; g = x; }
+      for (int i = 0; i < 2; i = i + 1) { int i = 5; g = i; }
+      g = x;
+    }
+  )");
+  const MirFunction& f = Fn(m, "f");
+  // The local each store to g reads, in source order.
+  std::vector<int> stored;
+  for (const MirOp& op : f.ops) {
+    if (op.kind == MirOp::Kind::kStoreGlobal) {
+      stored.push_back(op.a);
+    }
+  }
+  ASSERT_EQ(stored.size(), 4u);
+  const auto name = [&](int local) { return f.locals[static_cast<std::size_t>(local)].name; };
+  EXPECT_EQ(name(stored[0]), "x");
+  EXPECT_EQ(name(stored[1]), "x");
+  EXPECT_EQ(name(stored[2]), "i");
+  EXPECT_EQ(name(stored[3]), "x");
+  EXPECT_NE(stored[0], stored[1]);  // the sibling blocks' x
+  EXPECT_LT(stored[3], stored[0]);  // the outer x, declared before both
+  const auto declarations = [&](const std::string& local) {
+    return std::count_if(f.locals.begin(), f.locals.end(),
+                         [&](const MirLocal& l) { return l.name == local; });
+  };
+  EXPECT_EQ(declarations("a"), 2);
+  EXPECT_EQ(declarations("x"), 3);
+  EXPECT_EQ(declarations("i"), 2);
 }
 
 TEST(LsvTest, PointerParamsAreSeeds) {

@@ -9,12 +9,14 @@
 
 #include "analysis/atomic_regions.h"
 #include "analysis/conflict.h"
+#include "analysis/correlation.h"
 #include "analysis/lockset.h"
 #include "analysis/mir_builder.h"
 #include "apps/bugs.h"
 #include "apps/workloads.h"
 #include "lang/parser.h"
 #include "tests/program_generator.h"
+#include "tests/test_util.h"
 
 namespace kivati {
 namespace {
@@ -693,6 +695,369 @@ TEST(LockFactsTest, MatchesReferenceAcrossThreeSetWords) {
   ExpectLockFactsMatchReference(source.str(), "generated, 150 lock words");
   EXPECT_GE(widest_must_held_bit, 128);
   EXPECT_GE(nonempty_held_across, 20);
+}
+
+// --- Class-based remoteness against per-function remote sets -----------------
+//
+// The analyzer used to build, for every function f, the std::set of
+// functions whose code may run concurrently with f, and to scan every op of
+// each of them for every AR. That grew with the square of the function
+// count. The reference below keeps that rule and that scan verbatim; the
+// analyzer, which decides remoteness from thread classes and scans each
+// function's accesses listed once, must give the same report.
+
+struct ReferenceClass {
+  int function = -1;
+  int count = 1;
+  std::set<int> reach;
+};
+
+int ReferenceIndexOf(const MirModule& module, const MirFunction* function) {
+  return static_cast<int>(function - module.functions.data());
+}
+
+std::set<int> ReferenceReachable(const MirModule& module, int root) {
+  std::set<int> seen{root};
+  std::vector<int> work{root};
+  while (!work.empty()) {
+    const int f = work.back();
+    work.pop_back();
+    for (const MirOp& op : module.functions[static_cast<std::size_t>(f)].ops) {
+      if (op.kind != MirOp::Kind::kCall) {
+        continue;
+      }
+      const MirFunction* callee = module.FindFunction(op.callee);
+      if (callee != nullptr && seen.insert(ReferenceIndexOf(module, callee)).second) {
+        work.push_back(ReferenceIndexOf(module, callee));
+      }
+    }
+  }
+  return seen;
+}
+
+std::vector<ReferenceClass> ReferenceClasses(const MirModule& module,
+                                             const ConflictOptions& options) {
+  std::vector<ReferenceClass> classes;
+  std::set<int> have_root;
+  if (options.roots.empty()) {
+    for (std::size_t f = 0; f < module.functions.size(); ++f) {
+      classes.push_back({static_cast<int>(f), 2, ReferenceReachable(module, static_cast<int>(f))});
+    }
+    return classes;
+  }
+  for (const auto& [name, count] : options.roots) {
+    const MirFunction* fn = module.FindFunction(name);
+    if (fn == nullptr) {
+      continue;
+    }
+    const int index = ReferenceIndexOf(module, fn);
+    if (have_root.insert(index).second) {
+      classes.push_back({index, count, ReferenceReachable(module, index)});
+    } else {
+      for (ReferenceClass& c : classes) {
+        if (c.function == index) {
+          c.count += count;
+        }
+      }
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::vector<int> pending;
+    for (const ReferenceClass& c : classes) {
+      for (const int f : c.reach) {
+        for (const MirOp& op : module.functions[static_cast<std::size_t>(f)].ops) {
+          if (op.kind != MirOp::Kind::kSpawn) {
+            continue;
+          }
+          const MirFunction* target = module.FindFunction(op.callee);
+          if (target != nullptr && have_root.insert(ReferenceIndexOf(module, target)).second) {
+            pending.push_back(ReferenceIndexOf(module, target));
+          }
+        }
+      }
+    }
+    for (const int index : pending) {
+      classes.push_back({index, 2, ReferenceReachable(module, index)});
+      changed = true;
+    }
+  }
+  return classes;
+}
+
+// remote[f]: the functions whose code may run on a thread concurrent with
+// one executing f.
+std::vector<std::set<int>> ReferenceRemoteFunctions(const MirModule& module,
+                                                    const std::vector<ReferenceClass>& classes) {
+  std::vector<std::set<int>> remote(module.functions.size());
+  std::vector<std::vector<std::size_t>> classes_of(module.functions.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    for (const int f : classes[c].reach) {
+      classes_of[static_cast<std::size_t>(f)].push_back(c);
+    }
+  }
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      bool concurrent = false;
+      for (const std::size_t c0 : classes_of[f]) {
+        if (c0 != c || classes[c].count >= 2) {
+          concurrent = true;
+          break;
+        }
+      }
+      if (concurrent) {
+        remote[f].insert(classes[c].reach.begin(), classes[c].reach.end());
+      }
+    }
+  }
+  return remote;
+}
+
+ConflictReport ReferenceConflicts(const MirModule& module, const ModuleAnnotations& annotations,
+                                  const LockFacts& locks, const ConflictOptions& options) {
+  const std::vector<std::set<int>> remote =
+      ReferenceRemoteFunctions(module, ReferenceClasses(module, options));
+  std::set<int> taken;
+  for (const MirFunction& function : module.functions) {
+    for (const MirOp& op : function.ops) {
+      if (op.kind == MirOp::Kind::kAddrGlobal) {
+        taken.insert(op.global);
+      } else if (op.kind == MirOp::Kind::kAddrIndex && op.array.space == VarRef::Space::kGlobal) {
+        taken.insert(op.array.index);
+      }
+    }
+  }
+  LockSet sync_locks = locks.EmptySet();
+  for (std::size_t b = 0; b < locks.lock_words().size(); ++b) {
+    if (module.globals[static_cast<std::size_t>(locks.lock_words()[b])].is_sync) {
+      sync_locks.insert(b);
+    }
+  }
+  ConflictReport report;
+  report.ars.resize(annotations.infos.size());
+  for (std::size_t f = 0; f < module.functions.size(); ++f) {
+    for (const FunctionAr& ar : annotations.functions[f].ars) {
+      ArConflict conflict;
+      conflict.id = ar.id;
+      // pair_case depends on the AR alone and is left out.
+      std::vector<std::pair<std::size_t, std::size_t>> site_ops;
+      const bool local_identity = ar.var.space == VarRef::Space::kLocal;
+      const bool via_pointer_reachable = local_identity || taken.contains(ar.var.index);
+      for (const int g : remote[f]) {
+        const MirFunction& fn = module.functions[static_cast<std::size_t>(g)];
+        for (std::size_t i = 0; i < fn.ops.size(); ++i) {
+          const auto access = SharedAccessOf(fn.ops[i]);
+          if (!access.has_value() || !Matches(ar.watch, access->type)) {
+            continue;
+          }
+          const bool is_ptr_deref = fn.ops[i].kind == MirOp::Kind::kLoadPtr ||
+                                    fn.ops[i].kind == MirOp::Kind::kStorePtr;
+          bool aliases = false;
+          bool via_pointer = false;
+          if (local_identity) {
+            aliases = true;
+            via_pointer = true;
+          } else if (access->base.space == VarRef::Space::kGlobal &&
+                     access->base.index == ar.var.index) {
+            aliases = true;
+          } else if (via_pointer_reachable && is_ptr_deref) {
+            aliases = true;
+            via_pointer = true;
+          }
+          if (aliases) {
+            conflict.remote_sites.push_back(
+                {fn.name, static_cast<int>(i), fn.ops[i].line, access->type, via_pointer});
+            site_ops.emplace_back(static_cast<std::size_t>(g), i);
+          }
+        }
+      }
+      if (conflict.remote_sites.empty()) {
+        conflict.verdict = ArVerdict::kNoRemoteWriter;
+      } else {
+        std::vector<int> ends;
+        for (const auto& [op, type] : ar.ends) {
+          ends.push_back(op);
+        }
+        LockSet held = locks.HeldAcross(f, ar.first_op, ends);
+        locks.ReleaseByCall(f, static_cast<std::size_t>(ar.first_op), held);
+        for (const int end : ends) {
+          locks.ReleaseByCall(f, static_cast<std::size_t>(end), held);
+        }
+        held.IntersectWith(sync_locks.words());
+        for (std::size_t s = 0; s < site_ops.size() && !held.empty(); ++s) {
+          held.IntersectWith(locks.must_held(site_ops[s].first, site_ops[s].second));
+          locks.ReleaseByCall(site_ops[s].first, site_ops[s].second, held);
+        }
+        if (!held.empty()) {
+          conflict.verdict = ArVerdict::kLockProtected;
+          conflict.lock = module.globals[static_cast<std::size_t>(
+                                             locks.lock_words()[static_cast<std::size_t>(
+                                                 held.first())])]
+                              .name;
+          conflict.remote_sites.clear();
+        } else {
+          conflict.verdict = ArVerdict::kWatchRequired;
+        }
+      }
+      switch (conflict.verdict) {
+        case ArVerdict::kNoRemoteWriter:
+          ++report.no_remote_writer;
+          break;
+        case ArVerdict::kLockProtected:
+          ++report.lock_protected;
+          break;
+        case ArVerdict::kWatchRequired:
+          ++report.watch_required;
+          break;
+      }
+      if (options.prune && conflict.verdict != ArVerdict::kWatchRequired) {
+        report.pruned.insert(conflict.id);
+      }
+      report.ars[conflict.id - 1] = std::move(conflict);
+    }
+  }
+  return report;
+}
+
+int remote_site_total = 0;  // over every comparison, to show the inputs bite
+int verdict_kinds_seen = 0;  // bit per ArVerdict
+
+void ExpectSameReport(const ConflictReport& actual, const ConflictReport& expected) {
+  ASSERT_EQ(actual.ars.size(), expected.ars.size());
+  EXPECT_EQ(actual.no_remote_writer, expected.no_remote_writer);
+  EXPECT_EQ(actual.lock_protected, expected.lock_protected);
+  EXPECT_EQ(actual.watch_required, expected.watch_required);
+  EXPECT_EQ(actual.pruned, expected.pruned);
+  for (std::size_t i = 0; i < actual.ars.size(); ++i) {
+    const ArConflict& a = actual.ars[i];
+    const ArConflict& e = expected.ars[i];
+    SCOPED_TRACE("AR " + std::to_string(e.id));
+    EXPECT_EQ(a.id, e.id);
+    EXPECT_EQ(a.verdict, e.verdict);
+    EXPECT_EQ(a.lock, e.lock);
+    ASSERT_EQ(a.remote_sites.size(), e.remote_sites.size());
+    for (std::size_t s = 0; s < a.remote_sites.size(); ++s) {
+      EXPECT_EQ(a.remote_sites[s].function, e.remote_sites[s].function) << "site " << s;
+      EXPECT_EQ(a.remote_sites[s].op, e.remote_sites[s].op) << "site " << s;
+      EXPECT_EQ(a.remote_sites[s].line, e.remote_sites[s].line) << "site " << s;
+      EXPECT_EQ(a.remote_sites[s].type, e.remote_sites[s].type) << "site " << s;
+      EXPECT_EQ(a.remote_sites[s].via_pointer, e.remote_sites[s].via_pointer) << "site " << s;
+    }
+    remote_site_total += static_cast<int>(e.remote_sites.size());
+    verdict_kinds_seen |= 1 << static_cast<int>(e.verdict);
+  }
+}
+
+// Both root shapes (the given roots, and none: every function concurrent),
+// under the paper's annotator and both extensions, before and after fusion.
+void ExpectConflictsMatchReference(const std::string& source, const std::string& name,
+                                   const std::vector<std::pair<std::string, int>>& roots) {
+  SCOPED_TRACE(name);
+  const MirModule module = Build(source);
+  const LockFacts locks(module);
+  for (const bool given_roots : {true, false}) {
+    SCOPED_TRACE(given_roots ? "given roots" : "no roots");
+    ConflictOptions options;
+    if (given_roots) {
+      options.roots = roots;
+    }
+    const ConflictAnalyzer analyzer(module, locks, options);
+    for (const bool extended : {false, true}) {
+      SCOPED_TRACE(extended ? "interprocedural, precise aliasing" : "paper annotator");
+      AnnotateOptions annotate;
+      annotate.interprocedural = extended;
+      annotate.precise_aliasing = extended;
+      ModuleAnnotations annotations = Annotate(module, annotate);
+      const ConflictReport before = analyzer.Run(annotations);
+      ExpectSameReport(before, ReferenceConflicts(module, annotations, locks, options));
+      ExpectSameReport(AnalyzeConflicts(module, annotations, locks, options), before);
+      if (CorrelateAndFuse(module, annotations, before, locks).changed) {
+        ExpectSameReport(analyzer.Run(annotations),
+                         ReferenceConflicts(module, annotations, locks, options));
+      }
+    }
+  }
+}
+
+TEST(ConflictRemotenessTest, MatchesPerFunctionRemoteSetsOnAppsBugsAndGeneratedPrograms) {
+  remote_site_total = 0;
+  verdict_kinds_seen = 0;
+  for (const apps::App& app : apps::AllPerformanceApps()) {
+    ExpectConflictsMatchReference(app.source, app.workload.name,
+                                  testing::ThreadRoots(app.workload));
+  }
+  for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
+    for (const apps::BugInfo& bug : *corpus) {
+      const apps::App app = apps::MakeBugApp(bug);
+      ExpectConflictsMatchReference(app.source, app.workload.name,
+                                  testing::ThreadRoots(app.workload));
+    }
+  }
+  // One worker thread plus one thread on helper0, which the worker may also
+  // call: helper0 is then reached by two classes, every other helper by the
+  // worker's alone.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ExpectConflictsMatchReference(testing::ProgramGenerator(seed).Generate(),
+                                  "generated " + std::to_string(seed),
+                                  {{"worker", 1}, {"helper0", 1}});
+  }
+  EXPECT_GE(remote_site_total, 1000);
+  EXPECT_EQ(verdict_kinds_seen, 0b111);
+}
+
+TEST(ConflictRemotenessTest, MatchesOnSpawnTargetsAndUnreachedFunctions) {
+  // main runs alone and spawns reader and writer (2 threads each); helper is
+  // reached by main's class and reader's; orphan is reached by no class, so
+  // its accesses are nobody's remote sites and its own AR has none; a root
+  // naming no function is ignored; main is named twice.
+  const std::string source = R"(
+    sync int m;
+    int g;
+    int h;
+    int lonely;
+    int *p;
+    void helper(int x) {
+      int t = g;
+      g = t + x;
+    }
+    void reader(int x) {
+      int t = h;
+      h = t + 1;
+      helper(x);
+    }
+    void writer(int x) {
+      p = &h;
+      *p = x;
+      lock(m);
+      g = x;
+      unlock(m);
+    }
+    void orphan(int x) {
+      int t = lonely;
+      lonely = t + 1;
+      g = x;
+      h = x;
+    }
+    void main(int id) {
+      int t = g;
+      g = t + 1;
+      int s = lonely;
+      lonely = s + 1;
+      spawn reader(1);
+      spawn writer(2);
+      helper(id);
+    }
+  )";
+  remote_site_total = 0;
+  ExpectConflictsMatchReference(source, "spawned", {{"main", 1}, {"absent", 1}});
+  ExpectConflictsMatchReference(source, "main twice", {{"main", 1}, {"main", 1}});
+  ExpectConflictsMatchReference(source, "orphan as a root", {{"orphan", 1}, {"main", 1}});
+  EXPECT_GE(remote_site_total, 20);
+  const Analysis a = Analyze(source, {true, {{"main", 1}}});
+  EXPECT_EQ(ArOn(a, "orphan", "lonely").verdict, ArVerdict::kNoRemoteWriter);
+  EXPECT_EQ(ArOn(a, "main", "lonely").verdict, ArVerdict::kNoRemoteWriter);
+  EXPECT_EQ(ArOn(a, "main", "g").verdict, ArVerdict::kWatchRequired);
 }
 
 }  // namespace

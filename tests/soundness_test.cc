@@ -137,8 +137,8 @@ TEST(CorrelationSoundnessTest, SingleVariableCorpusIsUntouchedByCorrelation) {
     }
     // Identical instruction streams imply identical runs: the engines are
     // deterministic given the same program, workload and seed.
-    EXPECT_EQ(DisassembleProgram(on.compiled->program),
-              DisassembleProgram(off.compiled->program));
+    EXPECT_EQ(DisassembleProgram(on.workload.program),
+              DisassembleProgram(off.workload.program));
   }
 }
 
