@@ -34,7 +34,7 @@ void Run() {
     std::optional<AppRun> vanilla;
     for (const Mode& mode : modes) {
       apps::LoadScale scale;
-      scale.annotator = mode.options;
+      scale.frontend.annotator = mode.options;
       apps::App app;
       switch (app_index) {
         case 0: app = apps::MakeNss(scale); break;

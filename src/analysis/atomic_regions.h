@@ -11,6 +11,7 @@
 #ifndef KIVATI_ANALYSIS_ATOMIC_REGIONS_H_
 #define KIVATI_ANALYSIS_ATOMIC_REGIONS_H_
 
+#include <compare>
 #include <map>
 #include <span>
 #include <string>
@@ -99,6 +100,8 @@ struct AnnotateOptions {
   // derives from p; (b) give array accesses with provably constant indices
   // per-element identity instead of whole-array identity.
   bool precise_aliasing = false;
+
+  auto operator<=>(const AnnotateOptions&) const = default;
 };
 
 // One function's access-pair data flow, as its solver sees it. A site is

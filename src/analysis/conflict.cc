@@ -261,6 +261,21 @@ int ConflictAnalyzer::FindProtectingLock(
   return held.empty() ? -1 : locks_.lock_words()[static_cast<std::size_t>(held.first())];
 }
 
+std::vector<std::pair<std::string, int>> ThreadRoots(
+    const std::vector<std::pair<std::string, std::uint64_t>>& threads) {
+  std::vector<std::pair<std::string, int>> roots;
+  for (const auto& thread : threads) {
+    const auto root = std::find_if(roots.begin(), roots.end(),
+                                   [&](const auto& r) { return r.first == thread.first; });
+    if (root != roots.end()) {
+      ++root->second;
+    } else {
+      roots.emplace_back(thread.first, 1);
+    }
+  }
+  return roots;
+}
+
 ConflictReport AnalyzeConflicts(const MirModule& module, const ModuleAnnotations& annotations,
                                 const LockFacts& locks, const ConflictOptions& options) {
   return ConflictAnalyzer(module, locks, options).Run(annotations);

@@ -55,6 +55,12 @@ struct ConflictOptions {
   std::vector<std::pair<std::string, int>> roots;
 };
 
+// The thread roots of a thread list ((function, r0 argument) pairs): each
+// distinct entry function, in order of first appearance, with the number of
+// threads started on it. An empty list gives no roots, the sound fallback.
+std::vector<std::pair<std::string, int>> ThreadRoots(
+    const std::vector<std::pair<std::string, std::uint64_t>>& threads);
+
 // One concurrently-reachable access that can trap an AR's watchpoint.
 struct RemoteSite {
   std::string function;

@@ -125,8 +125,7 @@ const char* ToString(PairPruneReason reason) {
 }
 
 CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& annotations,
-                                   const ConflictReport& conflict, const LockFacts& locks,
-                                   const CorrelationOptions& options) {
+                                   const ConflictReport& conflict, const LockFacts& locks) {
   CorrelationReport report;
 
   // --- 1. Co-access windows ------------------------------------------------
@@ -246,7 +245,7 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
       pair.lock = module.globals[static_cast<std::size_t>(lock)].name;
     } else if (var_protected(pair.a) || var_protected(pair.b)) {
       pair.pruned = PairPruneReason::kLockProtected;
-    } else if (pair.support < options.min_support) {
+    } else if (pair.support < kMinSupport) {
       pair.pruned = PairPruneReason::kLowSupport;
     }
     if (pair.pruned == PairPruneReason::kNone) {
@@ -291,7 +290,7 @@ CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& a
     report.sets[i].id = static_cast<int>(i + 1);
   }
 
-  if (!options.fuse || report.sets.empty()) {
+  if (report.sets.empty()) {
     return report;
   }
 

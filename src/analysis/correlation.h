@@ -7,7 +7,7 @@
 // access-together sets onto the MIR: two shared globals correlate when their
 // accesses are control-flow adjacent — inside one *window* of straight-line
 // ops with no intervening release point (call, spawn, lock/unlock, sleep,
-// io, yield, return) — in at least `min_support` distinct functions, and no
+// io, yield, return) — in at least kMinSupport distinct functions, and no
 // common trusted lock already serializes every such co-access (the PR 3
 // lockset/conflict machinery; provably-protected pairs never correlate).
 //
@@ -45,16 +45,11 @@
 
 namespace kivati {
 
-struct CorrelationOptions {
-  // Rewrite the annotations (fusion). False computes the report only, so
-  // `kivati analyze` can rank candidate sets without changing the binary.
-  bool fuse = true;
-  // A pair must co-occur in at least this many distinct functions. The MUVI
-  // support threshold: one function touching two variables side by side is
-  // coincidence; the same two variables travelling together across the
-  // module is a correlation.
-  int min_support = 2;
-};
+// A pair must co-occur in at least this many distinct functions. The MUVI
+// support threshold: one function touching two variables side by side is
+// coincidence; the same two variables travelling together across the module
+// is a correlation.
+inline constexpr int kMinSupport = 2;
 
 // One co-access observation: a window in `function` where both members of a
 // pair were accessed with no release point between them.
@@ -71,7 +66,7 @@ struct CoAccessSite {
 enum class PairPruneReason : std::uint8_t {
   kNone,           // kept
   kLockProtected,  // a common trusted lock covers every co-access window
-  kLowSupport,     // co-occurs in fewer than min_support functions
+  kLowSupport,     // co-occurs in fewer than kMinSupport functions
 };
 
 const char* ToString(PairPruneReason reason);
@@ -110,16 +105,15 @@ struct CorrelationReport {
   bool changed = false;             // annotations were rewritten
 };
 
-// Runs the inference over `module` and — when options.fuse — rewrites
-// `annotations` in place. `conflict` supplies the PR 3 verdicts: a variable
-// whose every AR is lock-protected is treated as protected and never
-// correlates. `locks` is the module's lock analysis, the same one the
-// conflict runs read. Synthesized ARs are appended with fresh ids following
+// Runs the inference over `module` and rewrites `annotations` in place.
+// `conflict` supplies the conflict analysis's verdicts: a variable whose
+// every AR is lock-protected is treated as protected and never correlates.
+// `locks` is the module's lock analysis, the same one the conflict runs
+// read. Synthesized ARs are appended with fresh ids following
 // annotations.infos; callers must re-run AnalyzeConflicts afterwards when
 // report.changed (compile/compiler.cc does).
 CorrelationReport CorrelateAndFuse(const MirModule& module, ModuleAnnotations& annotations,
-                                   const ConflictReport& conflict, const LockFacts& locks,
-                                   const CorrelationOptions& options = {});
+                                   const ConflictReport& conflict, const LockFacts& locks);
 
 // Human-readable ranked report (the `correlated-sets` section of
 // `kivati analyze`).

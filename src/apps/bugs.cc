@@ -104,7 +104,7 @@ std::string RemoteAccess(BugPattern pattern, const std::string& v) {
     case BugPattern::kDirtyRead:
       return "      " + v + "_sink = " + v + ";\n";
     // Multi-variable remotes co-access BOTH members in one window: that is
-    // what lifts the pair's support to min_support (the local region is the
+    // what lifts the pair's support to kMinSupport (the local region is the
     // other co-access site) so the correlation survives pruning.
     case BugPattern::kPairDesync:
     case BugPattern::kPairSwap:
@@ -252,17 +252,15 @@ const std::vector<BugInfo>& MultiVarBugCorpus() {
   return *kCorpus;
 }
 
-App MakeBugApp(const BugInfo& bug, bool prune, bool correlate) {
+App MakeBugApp(const BugInfo& bug, const FrontendOptions& frontend) {
   std::vector<std::string> buggy_vars{bug.variable()};
   if (bug.multivar()) {
     // Violations can land on the fused host AR or the synthesized partner
     // AR; both variables count as the bug.
     buggy_vars.push_back(bug.aux_variable());
   }
-  App app = AssembleApp(bug.app + " " + bug.id, BugSource(bug), "bug_thread",
-                        /*workers=*/3, buggy_vars,
-                        /*default_max_cycles=*/300'000'000, /*annotator=*/{}, prune, correlate);
-  return app;
+  return AssembleApp(bug.app + " " + bug.id, BugSource(bug), "bug_thread", /*workers=*/3,
+                     buggy_vars, /*default_max_cycles=*/300'000'000, frontend);
 }
 
 }  // namespace apps

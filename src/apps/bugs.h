@@ -80,11 +80,10 @@ const std::vector<BugInfo>& MultiVarBugCorpus();
 
 // Builds the workload for one bug: a local thread that repeatedly applies
 // the triggering input, a remote thread that makes the interleaving access,
-// and a noise thread exercising unrelated shared state. `prune` lets the
-// soundness suite compare runs with conflict-analysis pruning on and off;
-// `correlate` gates the correlated-variable fusion pass (--no-correlate),
-// which is what makes the multi-variable corpus detectable at all.
-App MakeBugApp(const BugInfo& bug, bool prune = true, bool correlate = true);
+// and a noise thread exercising unrelated shared state, compiled with
+// `frontend`. Correlation (FrontendOptions::correlate) is what makes the
+// multi-variable corpus detectable at all.
+App MakeBugApp(const BugInfo& bug, const FrontendOptions& frontend = {});
 
 }  // namespace apps
 }  // namespace kivati

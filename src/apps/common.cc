@@ -14,8 +14,11 @@ std::unordered_set<ArId> ArsOnVariable(const CompiledProgram& compiled,
   return result;
 }
 
-App CompileApp(std::string name, std::string source, const CompileOptions& options,
+App CompileApp(std::string name, std::string source, const FrontendOptions& frontend,
                std::vector<std::pair<std::string, std::uint64_t>> threads) {
+  CompileOptions options;
+  options.frontend = frontend;
+  options.roots = ThreadRoots(threads);
   CompiledProgram compiled = CompileSource(source, options);
   App app;
   app.workload.name = std::move(name);
@@ -37,17 +40,12 @@ App CompileApp(std::string name, std::string source, const CompileOptions& optio
 App AssembleApp(const std::string& name, const std::string& source,
                 const std::string& worker_function, int workers,
                 const std::vector<std::string>& buggy_vars, Cycles default_max_cycles,
-                const AnnotateOptions& annotator, bool prune, bool correlate) {
-  CompileOptions compile_options;
-  compile_options.annotator = annotator;
-  compile_options.conflict.prune = prune;
-  compile_options.correlate = correlate;
-  compile_options.conflict.roots.emplace_back(worker_function, workers);
+                const FrontendOptions& frontend) {
   std::vector<std::pair<std::string, std::uint64_t>> threads;
   for (int i = 0; i < workers; ++i) {
     threads.emplace_back(worker_function, static_cast<std::uint64_t>(i));
   }
-  App app = CompileApp(name, source, compile_options, std::move(threads));
+  App app = CompileApp(name, source, frontend, std::move(threads));
   for (const std::string& var : buggy_vars) {
     const auto ars = ArsOnVariable(*app.compiled, var);
     app.workload.buggy_ars.insert(ars.begin(), ars.end());

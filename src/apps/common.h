@@ -8,6 +8,7 @@
 #ifndef KIVATI_APPS_COMMON_H_
 #define KIVATI_APPS_COMMON_H_
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,39 +38,31 @@ struct App {
 struct LoadScale {
   int workers = 4;
   int iterations = 250;
-  // Annotator configuration used when compiling the workload (defaults to
-  // the paper's basic intra-procedural, name-based analysis).
-  AnnotateOptions annotator;
-  // Drop annotations for ARs the conflict analysis proves unviolable
-  // (--no-prune sets this false).
-  bool prune = true;
-  // Run the correlated-variable fusion pass (--no-correlate sets this
-  // false). No-op on modules where nothing fuses.
-  bool correlate = true;
+  // Annotator configuration the workload is compiled with.
+  FrontendOptions frontend;
+
+  auto operator<=>(const LoadScale&) const = default;
 };
 
 // All AR ids whose shared variable is named `variable` (any function).
 std::unordered_set<ArId> ArsOnVariable(const CompiledProgram& compiled,
                                        const std::string& variable);
 
-// Compiles `source` with `options` into an App whose workload runs
-// `threads` ((function, r0 argument) pairs). The workload takes the
-// program, the memory initializers, the sync-var ARs and the conflict
-// verdict counts.
-App CompileApp(std::string name, std::string source, const CompileOptions& options,
+// Compiles `source` with `frontend` into an App whose workload runs
+// `threads` ((function, r0 argument) pairs), which are also the conflict
+// analysis's thread roots (ThreadRoots). The workload takes the program, the
+// memory initializers, the sync-var ARs and the conflict verdict counts.
+App CompileApp(std::string name, std::string source, const FrontendOptions& frontend,
                std::vector<std::pair<std::string, std::uint64_t>> threads);
 
 // Assembles an App: compiles `source`, creates `workers` threads running
 // `worker_function` with ids 0..workers-1, wires up memory initialization,
 // sync-var ARs and the buggy-AR set (ARs on any variable in `buggy_vars`).
-// The conflict analysis runs with `worker_function` × `workers` as the
-// thread roots; `prune` controls whether its verdicts drop annotations.
 App AssembleApp(const std::string& name, const std::string& source,
                 const std::string& worker_function, int workers,
                 const std::vector<std::string>& buggy_vars = {},
                 Cycles default_max_cycles = 400'000'000,
-                const AnnotateOptions& annotator = {}, bool prune = true,
-                bool correlate = true);
+                const FrontendOptions& frontend = {});
 
 }  // namespace apps
 }  // namespace kivati

@@ -127,7 +127,7 @@ std::string NssSource(const LoadScale& scale) {
 
 App MakeNss(const LoadScale& scale) {
   return AssembleApp("NSS", NssSource(scale), "nss_worker", scale.workers, {},
-                     400'000'000, scale.annotator, scale.prune, scale.correlate);
+                     400'000'000, scale.frontend);
 }
 
 }  // namespace apps

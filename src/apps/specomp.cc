@@ -112,7 +112,7 @@ App MakeSpecOmp(const LoadScale& scale) {
   const int chunk = 224;
   const int inner = 250;
   return AssembleApp("SPEC OMP", SpecOmpSource(threads, phases, chunk, inner), "omp_worker",
-                     threads, {}, 400'000'000, scale.annotator, scale.prune, scale.correlate);
+                     threads, {}, 400'000'000, scale.frontend);
 }
 
 std::vector<App> AllPerformanceApps(const LoadScale& scale) {

@@ -135,7 +135,7 @@ std::string TpcwSource(const LoadScale& scale) {
 
 App MakeTpcw(const LoadScale& scale) {
   return AssembleApp("TPC-W", TpcwSource(scale), "db_worker", scale.workers, {},
-                     400'000'000, scale.annotator, scale.prune, scale.correlate);
+                     400'000'000, scale.frontend);
 }
 
 }  // namespace apps

@@ -174,7 +174,7 @@ App MakeVlc(const LoadScale& scale) {
   // balanced so the run terminates.
   const int workers = scale.workers + (scale.workers & 1);
   return AssembleApp("VLC", VlcSource(scale), "vlc_worker", workers, {}, 400'000'000,
-                     scale.annotator, scale.prune, scale.correlate);
+                     scale.frontend);
 }
 
 }  // namespace apps

@@ -123,7 +123,7 @@ std::string WebstoneSource(const LoadScale& scale) {
 
 App MakeWebstone(const LoadScale& scale) {
   return AssembleApp("Webstone", WebstoneSource(scale), "ws_worker", scale.workers, {},
-                     400'000'000, scale.annotator, scale.prune, scale.correlate);
+                     400'000'000, scale.frontend);
 }
 
 }  // namespace apps

@@ -41,9 +41,9 @@ bool SwapsOperands(BinOp op) { return op == BinOp::kGt || op == BinOp::kGe; }
 // per-function arrays keep their storage from one function to the next.
 class FunctionCodegen {
  public:
-  FunctionCodegen(ProgramBuilder& builder, const MirModule& module, bool emit_replica_stores,
+  FunctionCodegen(ProgramBuilder& builder, const MirModule& module,
                   const std::unordered_set<ArId>* pruned)
-      : b_(builder), module_(module), emit_replica_(emit_replica_stores), pruned_(pruned) {}
+      : b_(builder), module_(module), pruned_(pruned) {}
 
   void Run(const MirFunction& function, const FunctionAnnotations* annotations) {
     f_ = &function;
@@ -112,7 +112,7 @@ class FunctionCodegen {
       }
       const auto first = static_cast<std::size_t>(ar.first_op);
       begins_.push_back({first, &ar});
-      if (emit_replica_ && ar.needs_replica) {
+      if (ar.needs_replica) {
         replicas_.push_back({first, &ar});
       }
       for (const auto& [op, type] : ar.ends) {
@@ -123,7 +123,7 @@ class FunctionCodegen {
         // multi-variable regions may end after *another* member's access;
         // that op's value belongs to the other variable, so only ops that
         // touch this AR's own variable (or calls, which reload it) refresh.
-        if (emit_replica_ && type == AccessType::kWrite && EndAccessesOwnVar(ar, op)) {
+        if (type == AccessType::kWrite && EndAccessesOwnVar(ar, op)) {
           replicas_.push_back({static_cast<std::size_t>(op), &ar});
         }
       }
@@ -417,7 +417,6 @@ class FunctionCodegen {
 
   ProgramBuilder& b_;
   const MirModule& module_;
-  const bool emit_replica_;
   const std::unordered_set<ArId>* pruned_;
 
   // The function being emitted, and its state.
@@ -435,7 +434,7 @@ class FunctionCodegen {
 }  // namespace
 
 Program GenerateCode(const MirModule& module, const ModuleAnnotations* annotations,
-                     bool emit_replica_stores, const std::unordered_set<ArId>* pruned) {
+                     const std::unordered_set<ArId>* pruned) {
   // The apps and corpus bugs compile to 2.8-3.0 instructions per MIR op,
   // frames and annotations included. Each op has a label, and each function
   // an entry label and an epilogue label.
@@ -445,7 +444,7 @@ Program GenerateCode(const MirModule& module, const ModuleAnnotations* annotatio
   }
   ProgramBuilder builder;
   builder.Reserve(3 * ops + 4 * module.functions.size(), ops + 2 * module.functions.size());
-  FunctionCodegen codegen(builder, module, emit_replica_stores, pruned);
+  FunctionCodegen codegen(builder, module, pruned);
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
     codegen.Run(module.functions[i], annotations != nullptr ? &annotations->functions[i] : nullptr);
   }

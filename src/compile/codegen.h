@@ -11,12 +11,10 @@
 namespace kivati {
 
 // Generates code for `module`. `annotations` may be null (vanilla build).
-// `emit_replica_stores` controls the optimization-3 shared-page stores.
 // ARs in `pruned` (may be null) emit no begin/end_atomic or replica stores —
 // the conflict analysis proved they cannot be violated. clear_ar emission is
 // unchanged: it closes whatever AR the thread has open, including a caller's.
 Program GenerateCode(const MirModule& module, const ModuleAnnotations* annotations,
-                     bool emit_replica_stores,
                      const std::unordered_set<ArId>* pruned = nullptr);
 
 }  // namespace kivati

@@ -32,11 +32,13 @@ CompiledProgram Compile(const TranslationUnit& unit, const CompileOptions& optio
   ConflictReport conflict;
   CorrelationReport correlation;
   if (options.annotate) {
-    annotations = Annotate(module, options.annotator);
-    const ConflictAnalyzer analyzer(module, locks, options.conflict);
+    const FrontendOptions& frontend = options.frontend;
+    annotations = Annotate(module, frontend.annotator);
+    const ConflictOptions conflict_options{frontend.prune, options.roots};
+    const ConflictAnalyzer analyzer(module, locks, conflict_options);
     conflict = analyzer.Run(annotations);
-    if (options.correlate) {
-      correlation = CorrelateAndFuse(module, annotations, conflict, locks, options.correlation);
+    if (frontend.correlate) {
+      correlation = CorrelateAndFuse(module, annotations, conflict, locks);
       if (correlation.changed) {
         // Fusion extended host ARs and appended synthesized ones; the
         // conflict verdicts (and prune set) must reflect the new shapes.
@@ -47,7 +49,6 @@ CompiledProgram Compile(const TranslationUnit& unit, const CompileOptions& optio
 
   CompiledProgram out;
   out.program = GenerateCode(module, options.annotate ? &annotations : nullptr,
-                             options.emit_replica_stores,
                              options.annotate ? &conflict.pruned : nullptr);
   for (const MirGlobal& global : module.globals) {
     out.global_addrs.emplace(global.name, global.addr);

@@ -8,6 +8,7 @@
 #ifndef KIVATI_COMPILE_COMPILER_H_
 #define KIVATI_COMPILE_COMPILER_H_
 
+#include <compare>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -23,24 +24,33 @@
 
 namespace kivati {
 
+// The annotator configuration a binary is built with: the four frontend
+// choices behind --interprocedural, --precise-aliasing, --no-prune and
+// --no-correlate, as one value. A protected run must execute the binary its
+// annotator produced, so every path that rebuilds a workload (corpus bugs,
+// the sweep's app cache, replay and shrink) carries this value whole.
+struct FrontendOptions {
+  // Annotator precision extensions (paper §3.5/§6 future work).
+  AnnotateOptions annotator;
+  // Drop the annotations of ARs the whole-module conflict analysis proves
+  // unviolable (ConflictOptions::prune).
+  bool prune = true;
+  // Correlated-variable inference + multi-variable region fusion
+  // (analysis/correlation.h). When the pass fuses anything, the conflict
+  // analysis is re-run so synthesized and extended ARs carry verdicts.
+  bool correlate = true;
+
+  auto operator<=>(const FrontendOptions&) const = default;
+};
+
 struct CompileOptions {
   // Insert Kivati annotations. False produces the "vanilla" binary used as
   // the experiments' baseline.
   bool annotate = true;
-  // Emit the shared-page replica store after AR-opening/closing local
-  // writes (needed by optimization 3; one extra user instruction each).
-  bool emit_replica_stores = true;
-  // Annotator precision extensions (paper §3.5/§6 future work).
-  AnnotateOptions annotator;
-  // Whole-module conflict analysis: thread roots and whether ARs it proves
-  // unviolable are pruned at codegen (conflict.prune; --no-prune disables).
-  ConflictOptions conflict;
-  // Correlated-variable inference + multi-variable region fusion
-  // (analysis/correlation.h; --no-correlate disables). When the pass fuses
-  // anything, the conflict analysis is re-run so synthesized and extended
-  // ARs carry verdicts.
-  bool correlate = true;
-  CorrelationOptions correlation;
+  FrontendOptions frontend;
+  // The conflict analysis's thread roots (ConflictOptions::roots; derive
+  // them from a thread list with ThreadRoots).
+  std::vector<std::pair<std::string, int>> roots;
 };
 
 struct CompiledProgram {
@@ -61,8 +71,8 @@ struct CompiledProgram {
   // options.annotate was false).
   ConflictReport conflict;
   // Correlated-set inference result (empty when options.annotate or
-  // options.correlate was false). Self-contained: names are resolved, so
-  // it can be formatted without the MIR module.
+  // options.frontend.correlate was false). Self-contained: names are
+  // resolved, so it can be formatted without the MIR module.
   CorrelationReport correlation;
 
   Addr GlobalAddr(const std::string& name) const { return global_addrs.at(name); }

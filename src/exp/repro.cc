@@ -48,9 +48,11 @@ std::string SpecJson(const RunSpec& spec) {
   }
   AppendField(out, "workers", static_cast<std::uint64_t>(spec.scale.workers));
   AppendField(out, "iterations", static_cast<std::uint64_t>(spec.scale.iterations));
-  AppendField(out, "prune", spec.scale.prune);
-  AppendField(out, "interprocedural", spec.scale.annotator.interprocedural);
-  AppendField(out, "precise_aliasing", spec.scale.annotator.precise_aliasing);
+  const FrontendOptions& frontend = spec.scale.frontend;
+  AppendField(out, "prune", frontend.prune);
+  AppendField(out, "interprocedural", frontend.annotator.interprocedural);
+  AppendField(out, "precise_aliasing", frontend.annotator.precise_aliasing);
+  AppendField(out, "correlate", frontend.correlate);
   AppendField(out, "cores", static_cast<std::uint64_t>(spec.machine.num_cores));
   AppendField(out, "watchpoints", static_cast<std::uint64_t>(spec.machine.watchpoints_per_core));
   AppendField(out, "quantum", static_cast<std::uint64_t>(spec.machine.quantum));
@@ -196,11 +198,15 @@ RunSpec SpecFromJson(const Json& j) {
       static_cast<int>(AsUintIn(Require(j, "workers"), "workers", 1, kMaxAppWorkers));
   spec.scale.iterations =
       static_cast<int>(AsUintIn(Require(j, "iterations"), "iterations", 1, kMaxAppIterations));
-  spec.scale.prune = AsBool(Require(j, "prune"), "prune");
-  spec.scale.annotator.interprocedural =
-      AsBool(Require(j, "interprocedural"), "interprocedural");
-  spec.scale.annotator.precise_aliasing =
+  FrontendOptions& frontend = spec.scale.frontend;
+  frontend.prune = AsBool(Require(j, "prune"), "prune");
+  frontend.annotator.interprocedural = AsBool(Require(j, "interprocedural"), "interprocedural");
+  frontend.annotator.precise_aliasing =
       AsBool(Require(j, "precise_aliasing"), "precise_aliasing");
+  // Artifacts written before the key existed were replayed with correlation.
+  if (const Json* correlate = j.Find("correlate")) {
+    frontend.correlate = AsBool(*correlate, "correlate");
+  }
   spec.machine.num_cores =
       static_cast<unsigned>(AsUintIn(Require(j, "cores"), "cores", 1, kMaxCores));
   spec.machine.watchpoints_per_core = static_cast<unsigned>(

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "compile/compiler.h"
 #include "runtime/whitelist.h"
 
 namespace kivati {
@@ -123,35 +122,15 @@ std::shared_ptr<const apps::App> ResolveApp(const RunSpec& spec) {
       }
       throw std::runtime_error("unknown bug '" + spec.bug + "' (known: " + known + ")");
     }
-    return std::make_shared<const apps::App>(
-        apps::MakeBugApp(*bug, spec.scale.prune, spec.scale.correlate));
+    return std::make_shared<const apps::App>(apps::MakeBugApp(*bug, spec.scale.frontend));
   }
   std::vector<std::pair<std::string, std::uint64_t>> threads = spec.threads;
   if (threads.empty()) {
     threads.emplace_back("main", 0);
   }
-  CompileOptions compile_options;
-  compile_options.annotator = spec.scale.annotator;
-  compile_options.conflict.prune = spec.scale.prune;
-  compile_options.correlate = spec.scale.correlate;
-  // Thread roots for the conflict analysis: each distinct entry function
-  // with the number of threads started on it.
-  for (const auto& [function, arg] : threads) {
-    (void)arg;
-    bool found = false;
-    for (auto& [name, count] : compile_options.conflict.roots) {
-      if (name == function) {
-        ++count;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      compile_options.conflict.roots.emplace_back(function, 1);
-    }
-  }
   auto app = std::make_shared<const apps::App>(apps::CompileApp(
-      spec.source_path, ReadFileOrThrow(spec.source_path), compile_options, std::move(threads)));
+      spec.source_path, ReadFileOrThrow(spec.source_path), spec.scale.frontend,
+      std::move(threads)));
   for (const auto& [function, arg] : app->workload.threads) {
     (void)arg;
     if (app->workload.program.FindFunction(function) == nullptr) {

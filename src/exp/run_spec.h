@@ -59,8 +59,8 @@ struct RunSpec {
   // Registered apps and prebuilt workloads bring their own thread list.
   std::vector<std::pair<std::string, std::uint64_t>> threads;
 
-  // Scale + annotator knobs for registered apps; the annotator subfield is
-  // also used when compiling source_path workloads.
+  // Scale knobs for registered apps. Its annotator configuration
+  // (scale.frontend) compiles every workload source but a prebuilt one.
   apps::LoadScale scale;
 
   // Simulated machine (cores, watchpoints, scheduler seed, cost model).

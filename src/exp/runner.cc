@@ -6,7 +6,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
+#include <utility>
 
 #include "exp/spec_grid.h"
 
@@ -17,32 +17,6 @@ namespace {
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
       .count();
-}
-
-// Cache key for pre-resolving registered apps: the factory inputs that
-// change the compiled workload.
-struct AppKey {
-  std::string name;
-  int workers;
-  int iterations;
-  bool interprocedural;
-  bool precise_aliasing;
-  bool prune;
-
-  bool operator<(const AppKey& other) const {
-    return std::tie(name, workers, iterations, interprocedural, precise_aliasing, prune) <
-           std::tie(other.name, other.workers, other.iterations, other.interprocedural,
-                    other.precise_aliasing, other.prune);
-  }
-};
-
-AppKey KeyFor(const RunSpec& spec) {
-  return {spec.app,
-          spec.scale.workers,
-          spec.scale.iterations,
-          spec.scale.annotator.interprocedural,
-          spec.scale.annotator.precise_aliasing,
-          spec.scale.prune};
 }
 
 }  // namespace
@@ -139,12 +113,13 @@ std::vector<RunRecord> ExperimentRunner::RunAll(const std::vector<RunSpec>& spec
     std::shared_ptr<const ProgramImage> image;
   };
   std::vector<RunSpec> resolved = specs;
-  std::map<AppKey, CachedApp> cache;
+  std::map<std::pair<std::string, apps::LoadScale>, CachedApp> cache;
   for (RunSpec& spec : resolved) {
     if (spec.app.empty() || spec.prebuilt != nullptr) {
       continue;
     }
-    auto [it, inserted] = cache.try_emplace(KeyFor(spec));
+    // Keyed on the whole scale: every field of it is a factory input.
+    auto [it, inserted] = cache.try_emplace(std::pair(spec.app, spec.scale));
     if (inserted) {
       it->second.app = MakeRegisteredApp(spec.app, spec.scale);
       it->second.image = MakeProgramImage(it->second.app->workload.program);

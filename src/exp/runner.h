@@ -3,11 +3,13 @@
 // Each Engine is single-threaded and fully deterministic given its spec, so
 // a sweep is embarrassingly parallel: a fixed-size pool of host threads
 // claims specs from a shared index and writes records into per-spec slots.
-// Nothing is shared between runs except immutable state: each unique app is
-// resolved once, up front, and its machines share one ProgramImage (the
-// program, its rollback lookups and its translation; sched/machine.h). So
-// results are byte-identical to a serial execution of the same spec list —
-// tests/exp_test.cc holds the project to that.
+// Nothing is shared between runs except immutable state: each unique
+// registered app, keyed on its name and its whole LoadScale (annotator
+// configuration included), is resolved once, up front, and its machines
+// share one ProgramImage (the program, its rollback lookups and its
+// translation; sched/machine.h). So results are byte-identical to a serial
+// execution of the same spec list — tests/exp_test.cc holds the project to
+// that.
 #ifndef KIVATI_EXP_RUNNER_H_
 #define KIVATI_EXP_RUNNER_H_
 

@@ -55,10 +55,6 @@ struct KivatiConfig {
   std::string whitelist_path;
   double whitelist_reread_ms = 50.0;
 
-  // If false, remote accesses are logged but never undone/suspended
-  // (detection-only ablation; the paper always prevents).
-  bool prevent = true;
-
   // Suspension timeout (paper: 10 ms).
   double suspension_timeout_ms = 10.0;
   // Bug-finding pause inserted at begin_atomic (paper: 20 ms or 50 ms).

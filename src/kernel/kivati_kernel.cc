@@ -300,9 +300,9 @@ PathTaken KivatiKernel::BeginAtomic(ThreadId tid, const Instruction& instr, Addr
     const bool foreign = std::any_of(wp.ars.begin(), wp.ars.end(),
                                      [&](const ArInstance& ar) { return ar.owner != tid; });
     if (foreign) {
-      if (!config_.prevent || timeout_immune_.erase(tid) != 0) {
-        // Detection-only ablation, or a timeout-released begin that must
-        // proceed: the region goes unmonitored rather than re-suspending.
+      if (timeout_immune_.erase(tid) != 0) {
+        // A timeout-released begin must proceed: the region goes
+        // unmonitored rather than re-suspending.
         ++stats().ars_timeout_bypassed;
         return PathTaken::kKernel;
       }
@@ -741,7 +741,7 @@ bool KivatiKernel::HandleTrap(ThreadId tid, CoreId core, unsigned slot, const Me
       }
       return false;
     }
-    if (!config_.prevent || access.type == AccessType::kWrite) {
+    if (access.type == AccessType::kWrite) {
       // A foreign write simply replaces the leaked value; allow it.
       return false;
     }
@@ -809,10 +809,10 @@ bool KivatiKernel::HandleTrap(ThreadId tid, CoreId core, unsigned slot, const Me
     trigger.remote_pc = trap_pc;
   }
 
-  if (!config_.prevent || timeout_immune_.erase(tid) != 0) {
+  if (timeout_immune_.erase(tid) != 0) {
     KIVATI_LOG(kDebug) << "immune-commit: t" << tid << " addr=0x" << std::hex << access.addr
                        << std::dec << " at " << machine_.now();
-    // Detection-only mode, or a timeout-released access that must commit.
+    // A timeout-released access must commit.
     trigger.prevented = false;
     wp.triggers.push_back(trigger);
     RefreshRecordedValues(wp);

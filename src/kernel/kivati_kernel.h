@@ -44,7 +44,7 @@ struct TriggerRecord {
   ProgramCounter remote_pc = 0;
   Cycles when = 0;
   // False if the remote access could not be reordered (no spare watchpoint
-  // for a leaked read, detection-only mode, or suspension timeout).
+  // for a leaked read, or suspension timeout).
   bool prevented = true;
 };
 

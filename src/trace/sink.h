@@ -32,13 +32,9 @@ class TraceHub;
 class TraceSink {
  public:
   TraceSink() = default;
-  // Attachment is identity-based: it never transfers. A moved-to sink starts
-  // detached; move-assignment keeps the target's own attachment. Owners that
-  // move an attached sink (Trace) re-attach it themselves.
+  // Attachment is identity-based, so a sink is pinned in memory.
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
-  TraceSink(TraceSink&&) noexcept {}
-  TraceSink& operator=(TraceSink&&) noexcept { return *this; }
   virtual ~TraceSink();
 
   // Bitmask of EventKinds this sink wants (1 << kind). Zero detaches the

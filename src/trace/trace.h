@@ -144,26 +144,8 @@ class Trace {
 
   void Clear();
 
+  // Sinks attach to a hub by identity, so a Trace is pinned in memory.
   Trace() { hub_.Attach(&events_); }
-  // Sinks attach to a hub by identity, so moving a Trace re-attaches its own
-  // ring to its own (fresh) hub. Externally attached sinks (detector
-  // backends) do NOT follow a move — owners re-attach after moving the
-  // machine, as BuildEngine does.
-  Trace(Trace&& other) noexcept
-      : violations_(std::move(other.violations_)),
-        marks_(std::move(other.marks_)),
-        stats_(std::move(other.stats_)),
-        events_(std::move(other.events_)) {
-    hub_.Attach(&events_);
-  }
-  Trace& operator=(Trace&& other) noexcept {
-    violations_ = std::move(other.violations_);
-    marks_ = std::move(other.marks_);
-    stats_ = std::move(other.stats_);
-    events_ = std::move(other.events_);  // ring contents; attachment stays ours
-    hub_.RefreshMask();
-    return *this;
-  }
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 

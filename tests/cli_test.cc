@@ -651,6 +651,27 @@ TEST_F(CliTest, RecordedScheduleReplaysByteIdentical) {
   EXPECT_EQ(a, b) << "replayed run record differs from the recording";
 }
 
+// A repro artifact rebuilds its workload with the recorded annotator
+// configuration: replaying a --no-correlate recording of a multi-variable bug
+// must not rebuild the correlated binary.
+TEST_F(CliTest, NoCorrelateRecordingReplaysByteIdentical) {
+  const std::string trace = (dir_ / "trace.json").string();
+  const std::string recorded = (dir_ / "recorded.json").string();
+  const std::string replayed = (dir_ / "replayed.json").string();
+
+  const CommandResult record =
+      RunCli("run --bug Apache-45605 --mode bug-finding --no-correlate --max-cycles 2000000 "
+             "--record-schedule " + trace + " --json " + recorded);
+  ASSERT_EQ(record.exit_code, 0) << record.output;
+
+  const CommandResult replay = RunCli("replay " + trace + " --json " + replayed);
+  ASSERT_EQ(replay.exit_code, 0) << replay.output;
+
+  const std::string a = StripWallClock(ReadFileToString(recorded));
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, StripWallClock(ReadFileToString(replayed)));
+}
+
 TEST_F(CliTest, ShrinkProducesShorterReproducingTrace) {
   const std::string trace = (dir_ / "trace.json").string();
   const std::string minimized = (dir_ / "trace.min.json").string();

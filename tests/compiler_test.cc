@@ -18,11 +18,14 @@ std::uint64_t ReadGlobal(Machine& m, const CompiledProgram& cp, const std::strin
   return m.memory().Read(cp.GlobalAddr(name), 8);
 }
 
-Machine MakeMachine(const CompiledProgram& cp, MachineConfig config = SingleCoreConfig()) {
-  Machine m(cp.program, config);
-  cp.InitMemory(m.memory());
-  return m;
-}
+// A machine running `cp`'s program, its globals initialized.
+class CompiledMachine : public Machine {
+ public:
+  explicit CompiledMachine(const CompiledProgram& cp, MachineConfig config = SingleCoreConfig())
+      : Machine(cp.program, config) {
+    cp.InitMemory(memory());
+  }
+};
 
 TEST(CompilerTest, ArithmeticAndControlFlow) {
   const CompiledProgram cp = CompileSource(R"(
@@ -35,7 +38,7 @@ TEST(CompilerTest, ArithmeticAndControlFlow) {
       result = fib(10);
     }
   )");
-  Machine m = MakeMachine(cp);
+  CompiledMachine m(cp);
   m.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m.Run(50'000'000).all_done);
   EXPECT_EQ(ReadGlobal(m, cp, "result"), 55u);
@@ -47,7 +50,7 @@ TEST(CompilerTest, GlobalInitializersApplied) {
     int b;
     void main() { b = a + 5; }
   )");
-  Machine m = MakeMachine(cp);
+  CompiledMachine m(cp);
   m.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m.Run().all_done);
   EXPECT_EQ(ReadGlobal(m, cp, "b"), 22u);
@@ -67,7 +70,7 @@ TEST(CompilerTest, ArraysAndLoops) {
       }
     }
   )");
-  Machine m = MakeMachine(cp);
+  CompiledMachine m(cp);
   m.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m.Run().all_done);
   EXPECT_EQ(ReadGlobal(m, cp, "sum"), 140u);  // 0+1+4+...+49
@@ -87,7 +90,7 @@ TEST(CompilerTest, PointersAndAddressOf) {
       out = x;
     }
   )");
-  Machine m = MakeMachine(cp);
+  CompiledMachine m(cp);
   m.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m.Run().all_done);
   EXPECT_EQ(ReadGlobal(m, cp, "out"), 15u);
@@ -117,7 +120,7 @@ TEST(CompilerTest, SpawnRunsConcurrently) {
       total = done[0] + done[1] + done[2] + done[3];
     }
   )");
-  Machine m = MakeMachine(cp);
+  CompiledMachine m(cp);
   m.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m.Run(100'000'000).all_done);
   EXPECT_EQ(ReadGlobal(m, cp, "total"), 10u);
@@ -147,7 +150,7 @@ TEST(CompilerTest, LocksProvideMutualExclusion) {
   MachineConfig config = testing::DualCoreConfig(/*seed=*/3);
   config.policy = SchedPolicy::kRandom;
   config.quantum = 137;  // aggressive preemption
-  Machine m = MakeMachine(cp, config);
+  CompiledMachine m(cp, config);
   m.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m.Run(200'000'000).all_done);
   EXPECT_EQ(ReadGlobal(m, cp, "counter"), 100u);
@@ -195,10 +198,10 @@ TEST(CompilerTest, AnnotatedAndVanillaComputeSameResult) {
   const CompiledProgram with = CompileSource(source);
   const CompiledProgram without = CompileSource(source, vanilla);
 
-  Machine m1 = MakeMachine(with);
+  CompiledMachine m1(with);
   m1.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m1.Run().all_done);
-  Machine m2 = MakeMachine(without);
+  CompiledMachine m2(without);
   m2.SpawnThreadByName("main", 0);
   ASSERT_TRUE(m2.Run().all_done);
   EXPECT_EQ(ReadGlobal(m1, with, "acc"), ReadGlobal(m2, without, "acc"));
@@ -260,7 +263,7 @@ constexpr const char* kLostUpdateSource = R"(
 
 TEST(IntegrationTest, SourceLevelViolationDetectedAndPrevented) {
   const CompiledProgram cp = CompileSource(kLostUpdateSource);
-  Machine m = MakeMachine(cp, SingleCoreConfig(/*quantum=*/2500));
+  CompiledMachine m(cp, SingleCoreConfig(/*quantum=*/2500));
   KivatiConfig config;
   KivatiRuntime runtime(m, config);
   m.SpawnThreadByName("local_fn", 0);
@@ -291,7 +294,7 @@ TEST(IntegrationTest, BothThreadsAnnotatedSerializesViaBeginSuspension) {
   )");
   // Without Kivati this interleaving loses an update.
   {
-    Machine m = MakeMachine(cp, SingleCoreConfig(/*quantum=*/2500));
+    CompiledMachine m(cp, SingleCoreConfig(/*quantum=*/2500));
     m.SpawnThreadByName("worker", 0);
     m.SpawnThreadByName("worker", 1);
     ASSERT_TRUE(m.Run(50'000'000).all_done);
@@ -300,7 +303,7 @@ TEST(IntegrationTest, BothThreadsAnnotatedSerializesViaBeginSuspension) {
   // With Kivati the second thread parks at its begin_atomic and the update
   // survives.
   {
-    Machine m = MakeMachine(cp, SingleCoreConfig(/*quantum=*/2500));
+    CompiledMachine m(cp, SingleCoreConfig(/*quantum=*/2500));
     KivatiConfig config;
     KivatiRuntime runtime(m, config);
     m.SpawnThreadByName("worker", 0);
@@ -315,7 +318,7 @@ TEST(IntegrationTest, WhitelistedSyncVarsReduceKernelEntries) {
   // Keep the sync-var ARs annotated: the runtime whitelist under test is
   // only observable when the conflict analysis hasn't already pruned them.
   CompileOptions no_prune;
-  no_prune.conflict.prune = false;
+  no_prune.frontend.prune = false;
   const CompiledProgram cp = CompileSource(R"(
     sync int mutex;
     int data;
@@ -329,7 +332,7 @@ TEST(IntegrationTest, WhitelistedSyncVarsReduceKernelEntries) {
   )",
                                             no_prune);
   auto run = [&](bool whitelist_sync) {
-    Machine m = MakeMachine(cp, SingleCoreConfig());
+    CompiledMachine m(cp, SingleCoreConfig());
     KivatiConfig config;
     if (whitelist_sync) {
       config.whitelist = cp.sync_ars;

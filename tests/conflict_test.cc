@@ -985,13 +985,13 @@ TEST(ConflictRemotenessTest, MatchesPerFunctionRemoteSetsOnAppsBugsAndGeneratedP
   verdict_kinds_seen = 0;
   for (const apps::App& app : apps::AllPerformanceApps()) {
     ExpectConflictsMatchReference(app.source, app.workload.name,
-                                  testing::ThreadRoots(app.workload));
+                                  ThreadRoots(app.workload.threads));
   }
   for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
     for (const apps::BugInfo& bug : *corpus) {
       const apps::App app = apps::MakeBugApp(bug);
       ExpectConflictsMatchReference(app.source, app.workload.name,
-                                  testing::ThreadRoots(app.workload));
+                                  ThreadRoots(app.workload.threads));
     }
   }
   // One worker thread plus one thread on helper0, which the worker may also

@@ -153,7 +153,7 @@ TEST(EngineTest, SyncVarWhitelistOption) {
   // Keep the sync-var ARs annotated: the whitelist option under test is
   // only observable when the conflict analysis hasn't already pruned them.
   CompileOptions no_prune;
-  no_prune.conflict.prune = false;
+  no_prune.frontend.prune = false;
   const CompiledProgram compiled = CompileSource(R"(
     sync int m;
     int data;

@@ -19,11 +19,10 @@ MirModule Build(const std::string& source) { return BuildMir(Parse(source)); }
 
 // Annotate + whole-module conflict analysis (sound two-thread fallback
 // roots), then the correlation pass.
-CorrelationReport Correlate(const MirModule& module, ModuleAnnotations& annotations,
-                            const CorrelationOptions& options = {}) {
+CorrelationReport Correlate(const MirModule& module, ModuleAnnotations& annotations) {
   const LockFacts locks(module);
   const ConflictReport conflict = AnalyzeConflicts(module, annotations, locks, {});
-  return CorrelateAndFuse(module, annotations, conflict, locks, options);
+  return CorrelateAndFuse(module, annotations, conflict, locks);
 }
 
 const FunctionAnnotations& AnnotationsFor(const MirModule& m, const ModuleAnnotations& ann,
@@ -206,38 +205,6 @@ TEST(CorrelationTest, ReleasePointBreaksTheCoAccessWindow) {
   EXPECT_FALSE(report.changed);
 }
 
-TEST(CorrelationTest, MinSupportOptionRaisesTheBar) {
-  const MirModule m = Build(kPairSource);
-  ModuleAnnotations ann = Annotate(m);
-  CorrelationOptions options;
-  options.min_support = 3;
-  const CorrelationReport report = Correlate(m, ann, options);
-
-  EXPECT_TRUE(report.sets.empty());
-  ASSERT_EQ(report.rejected.size(), 1u);
-  EXPECT_EQ(report.rejected[0].pruned, PairPruneReason::kLowSupport);
-  EXPECT_FALSE(report.changed);
-}
-
-TEST(CorrelationTest, FuseOffReportsSetsWithoutRewriting) {
-  const MirModule m = Build(kPairSource);
-  ModuleAnnotations ann = Annotate(m);
-  CorrelationOptions options;
-  options.fuse = false;
-  const CorrelationReport report = Correlate(m, ann, options);
-
-  EXPECT_EQ(report.sets.size(), 1u);
-  EXPECT_FALSE(report.changed);
-  EXPECT_EQ(report.fused_ars, 0u);
-  EXPECT_EQ(ann.infos.size(), 2u);
-  for (const FunctionAnnotations& fa : ann.functions) {
-    for (const FunctionAr& ar : fa.ars) {
-      EXPECT_EQ(ar.group, 0);
-      EXPECT_FALSE(ar.synthesized);
-    }
-  }
-}
-
 TEST(CorrelationTest, ReportFormattingIsSelfContained) {
   const MirModule m = Build(kPairSource);
   ModuleAnnotations ann = Annotate(m);
@@ -261,7 +228,7 @@ TEST(CorrelationCompileTest, CompilerReRunsConflictAnalysisAfterFusion) {
   EXPECT_EQ(with.conflict.ars.size(), with.ar_infos.size());
 
   CompileOptions options;
-  options.correlate = false;
+  options.frontend.correlate = false;
   const CompiledProgram without = CompileSource(kPairSource, options);
   EXPECT_FALSE(without.correlation.changed);
   EXPECT_TRUE(without.correlation.sets.empty());

@@ -7,12 +7,14 @@
 #include <memory>
 #include <set>
 
+#include "apps/bugs.h"
 #include "apps/common.h"
 #include "exp/optparse.h"
 #include "exp/run_record.h"
 #include "exp/run_spec.h"
 #include "exp/runner.h"
 #include "exp/spec_grid.h"
+#include "isa/disasm.h"
 
 namespace kivati {
 namespace exp {
@@ -148,6 +150,22 @@ TEST(RunSpecTest, ExecuteCapturesErrorsInsteadOfThrowing) {
   EXPECT_NE(json.find("\"error\""), std::string::npos);
 }
 
+TEST(RunSpecTest, CorpusBugCompilesWithTheSpecsAnnotatorConfiguration) {
+  RunSpec spec;
+  spec.bug = "NSS-329072";
+  spec.scale.frontend.annotator.interprocedural = true;
+  spec.scale.frontend.annotator.precise_aliasing = true;
+  const apps::BugInfo& bug = *FindCorpusBug(spec.bug);
+  const std::shared_ptr<const apps::App> resolved = ResolveApp(spec);
+  const apps::App built = apps::MakeBugApp(bug, spec.scale.frontend);
+  EXPECT_EQ(resolved->compiled->num_ars, built.compiled->num_ars);
+  EXPECT_EQ(DisassembleProgram(resolved->workload.program),
+            DisassembleProgram(built.workload.program));
+  // The extensions give this bug one more region, so the checks above see
+  // whether ResolveApp applied them.
+  EXPECT_GT(built.compiled->num_ars, apps::MakeBugApp(bug).compiled->num_ars);
+}
+
 // --- SpecGrid ---------------------------------------------------------------
 
 TEST(SpecGridTest, ExpandsAllDimensions) {
@@ -274,6 +292,36 @@ TEST(RunnerTest, ParallelExecutionMatchesSerialByteForByte) {
   for (const RunRecord& record : serial_records) {
     EXPECT_TRUE(record.error.empty()) << record.label << ": " << record.error;
   }
+}
+
+// The runner builds each registered app once per distinct scale, so specs
+// that differ only in one LoadScale field, the annotator configuration
+// included, must each run the app their own scale builds.
+TEST(RunnerTest, AppCacheKeysOnTheWholeScale) {
+  RunSpec base;
+  base.app = "vlc";
+  base.scale.iterations = 30;
+  base.budget = 2'000'000;
+  std::vector<RunSpec> specs(7, base);
+  specs[1].scale.frontend.correlate = false;
+  specs[2].scale.frontend.prune = false;
+  specs[3].scale.frontend.annotator.interprocedural = true;
+  specs[4].scale.frontend.annotator.precise_aliasing = true;
+  specs[5].scale.workers = 2;
+  specs[6].scale.iterations = 40;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].label = "vlc " + std::to_string(i);
+  }
+
+  RunnerOptions options;
+  options.workers = 2;
+  const std::vector<RunRecord> together = ExperimentRunner(options).RunAll(specs);
+  std::vector<RunRecord> alone;
+  for (const RunSpec& spec : specs) {
+    alone.push_back(Execute(spec));
+  }
+  EXPECT_EQ(SweepReportJson(together, 2, 0.0, /*include_wall_clock=*/false),
+            SweepReportJson(alone, 2, 0.0, /*include_wall_clock=*/false));
 }
 
 TEST(RunnerTest, RecordsComeBackInSpecOrder) {

@@ -114,7 +114,7 @@ TEST(InterprocTest, CallSpanningViolationDetectedEndToEnd) {
   )";
   auto violations = [&](bool interprocedural) {
     CompileOptions options;
-    options.annotator.interprocedural = interprocedural;
+    options.frontend.annotator.interprocedural = interprocedural;
     const CompiledProgram compiled = CompileSource(source, options);
     Machine m(compiled.program, SingleCoreConfig(1000));
     KivatiConfig config;
@@ -131,7 +131,7 @@ TEST(InterprocTest, CallSpanningViolationDetectedEndToEnd) {
 TEST(InterprocTest, SingleThreadedSemanticsUnchanged) {
   for (const bool inter : {false, true}) {
     CompileOptions options;
-    options.annotator.interprocedural = inter;
+    options.frontend.annotator.interprocedural = inter;
     const CompiledProgram compiled = CompileSource(R"(
       int shared;
       int out;
@@ -207,8 +207,8 @@ TEST(AliasTest, VariableIndicesStayWholeArray) {
 
 TEST(AliasTest, PreciseModeNeverBreaksExecution) {
   CompileOptions options;
-  options.annotator.precise_aliasing = true;
-  options.annotator.interprocedural = true;
+  options.frontend.annotator.precise_aliasing = true;
+  options.frontend.annotator.interprocedural = true;
   const CompiledProgram compiled = CompileSource(R"(
     int table[4];
     int total;

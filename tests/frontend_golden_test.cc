@@ -84,12 +84,12 @@ std::string ReadExample(const std::string& name) {
 std::vector<Input> Inputs() {
   std::vector<Input> inputs;
   for (const apps::App& app : apps::AllPerformanceApps()) {
-    inputs.push_back({app.workload.name, app.source, testing::ThreadRoots(app.workload)});
+    inputs.push_back({app.workload.name, app.source, ThreadRoots(app.workload.threads)});
   }
   for (const auto* corpus : {&apps::BugCorpus(), &apps::MultiVarBugCorpus()}) {
     for (const apps::BugInfo& bug : *corpus) {
       const apps::App app = apps::MakeBugApp(bug);
-      inputs.push_back({app.workload.name, app.source, testing::ThreadRoots(app.workload)});
+      inputs.push_back({app.workload.name, app.source, ThreadRoots(app.workload.threads)});
     }
   }
   // The threads docs/analysis.md runs the examples with, and no roots at
@@ -131,11 +131,11 @@ std::string ComputeDigests() {
     EXPECT_FALSE(input.source.empty()) << input.name;
     for (const Config& config : kConfigs) {
       CompileOptions options;
-      options.annotator.interprocedural = config.interprocedural;
-      options.annotator.precise_aliasing = config.precise_aliasing;
-      options.conflict.prune = config.prune_and_correlate;
-      options.correlate = config.prune_and_correlate;
-      options.conflict.roots = input.roots;
+      options.frontend.annotator.interprocedural = config.interprocedural;
+      options.frontend.annotator.precise_aliasing = config.precise_aliasing;
+      options.frontend.prune = config.prune_and_correlate;
+      options.frontend.correlate = config.prune_and_correlate;
+      options.roots = input.roots;
       const CompiledProgram compiled = CompileSource(input.source, options);
       out += input.name + '\t' + config.name;
       out += "\tdisasm=" + Hex(Fnv1a64(DisassembleProgram(compiled.program)));

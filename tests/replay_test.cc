@@ -220,7 +220,13 @@ TEST(ReplayDivergenceTest, ShortReplayFailsFullConsumptionCheck) {
 }
 
 TEST(ReproArtifactTest, JsonRoundTrip) {
-  const exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
+  exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
+  // Every frontend choice away from its default: replay rebuilds the binary
+  // from these four.
+  base.scale.frontend.annotator.interprocedural = true;
+  base.scale.frontend.annotator.precise_aliasing = true;
+  base.scale.frontend.prune = false;
+  base.scale.frontend.correlate = false;
   Recorded rec = RecordRun(base);
   const exp::ReproArtifact artifact =
       exp::MakeReproArtifact(base, *rec.trace, rec.run.engine->trace().violations());
@@ -232,6 +238,7 @@ TEST(ReproArtifactTest, JsonRoundTrip) {
   EXPECT_EQ(loaded.spec.machine.num_cores, base.machine.num_cores);
   EXPECT_EQ(loaded.spec.mode, base.mode);
   EXPECT_EQ(loaded.spec.pause_ms, base.pause_ms);
+  EXPECT_TRUE(loaded.spec.scale.frontend == base.scale.frontend);
   ASSERT_TRUE(loaded.spec.budget.has_value());
   EXPECT_EQ(*loaded.spec.budget, *base.budget);
   EXPECT_TRUE(loaded.has_target);
@@ -255,6 +262,17 @@ std::string ArtifactWith(const std::string& field, const std::string& value) {
   return json;
 }
 
+TEST(ReproArtifactTest, ArtifactWithoutCorrelateKeyReadsAsCorrelating) {
+  exp::RunSpec spec = BugSpec("NSS-329072");
+  spec.scale.frontend.correlate = false;
+  std::string json = exp::ToJson(exp::MakeReproArtifact(spec, ScheduleTrace{}, {}));
+  EXPECT_FALSE(exp::ReproFromJson(json).spec.scale.frontend.correlate);
+  const std::string key = "\"correlate\":false,";
+  ASSERT_NE(json.find(key), std::string::npos);
+  json.erase(json.find(key), key.size());
+  EXPECT_TRUE(exp::ReproFromJson(json).spec.scale.frontend.correlate);
+}
+
 TEST(ReproArtifactTest, RejectsMalformedJson) {
   EXPECT_THROW(exp::ReproFromJson("{"), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson("{\"kind\":\"other\"}"), std::runtime_error);
@@ -272,6 +290,13 @@ TEST(ReproArtifactTest, RejectsMalformedJson) {
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("iterations", "100000001")),
                std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("quantum", "0")), std::runtime_error);
+  try {
+    exp::ReproFromJson(ArtifactWith("correlate", "7"));
+    ADD_FAILURE() << "a numeric 'correlate' was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("'correlate' must be a boolean"), std::string::npos)
+        << error.what();
+  }
   // Pause lengths the CLI's --pause-ms refuses (kMaxPauseMs).
   EXPECT_NO_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "0")));
   EXPECT_THROW(exp::ReproFromJson(ArtifactWith("pause_ms", "-1")), std::runtime_error);

@@ -21,8 +21,8 @@ MachineConfig EvalMachine(std::uint64_t seed = 1) {
 
 TEST(PruningSoundnessTest, BuggyArsSurviveInEveryCorpusApp) {
   for (const apps::BugInfo& bug : apps::BugCorpus()) {
-    const apps::App pruned = apps::MakeBugApp(bug, /*prune=*/true);
-    const apps::App unpruned = apps::MakeBugApp(bug, /*prune=*/false);
+    const apps::App pruned = apps::MakeBugApp(bug);
+    const apps::App unpruned = apps::MakeBugApp(bug, {.prune = false});
     SCOPED_TRACE(bug.app + " " + bug.id);
     // AR ids are assigned before pruning, so both builds agree on them.
     EXPECT_EQ(pruned.compiled->num_ars, unpruned.compiled->num_ars);
@@ -92,8 +92,8 @@ class FastBugDetectionTest : public ::testing::TestWithParam<std::size_t> {
 
 TEST_P(FastBugDetectionTest, DetectedWithAndWithoutPruning) {
   const apps::BugInfo& bug = apps::BugCorpus()[GetParam()];
-  EXPECT_TRUE(Detects(apps::MakeBugApp(bug, /*prune=*/true))) << "pruned build missed the bug";
-  EXPECT_TRUE(Detects(apps::MakeBugApp(bug, /*prune=*/false))) << "unpruned build missed the bug";
+  EXPECT_TRUE(Detects(apps::MakeBugApp(bug))) << "pruned build missed the bug";
+  EXPECT_TRUE(Detects(apps::MakeBugApp(bug, {.prune = false}))) << "unpruned build missed the bug";
 }
 
 std::string FastBugName(const ::testing::TestParamInfo<std::size_t>& info) {
@@ -112,8 +112,8 @@ INSTANTIATE_TEST_SUITE_P(FastBugs, FastBugDetectionTest, ::testing::Values(4u, 6
 TEST(CorrelationSoundnessTest, SingleVariableCorpusIsUntouchedByCorrelation) {
   for (const apps::BugInfo& bug : apps::BugCorpus()) {
     SCOPED_TRACE(bug.app + " " + bug.id);
-    const apps::App on = apps::MakeBugApp(bug, /*prune=*/true, /*correlate=*/true);
-    const apps::App off = apps::MakeBugApp(bug, /*prune=*/true, /*correlate=*/false);
+    const apps::App on = apps::MakeBugApp(bug);
+    const apps::App off = apps::MakeBugApp(bug, {.correlate = false});
 
     EXPECT_FALSE(on.compiled->correlation.changed);
     EXPECT_EQ(on.compiled->correlation.fused_ars, 0u);
@@ -149,8 +149,8 @@ TEST(CorrelationSoundnessTest, MultiVarCorpusFusesAndArmsTheAuxVariable) {
   for (const apps::BugInfo& bug : apps::MultiVarBugCorpus()) {
     SCOPED_TRACE(bug.app + " " + bug.id);
     ASSERT_TRUE(bug.multivar());
-    const apps::App fused = apps::MakeBugApp(bug, /*prune=*/true, /*correlate=*/true);
-    const apps::App unfused = apps::MakeBugApp(bug, /*prune=*/true, /*correlate=*/false);
+    const apps::App fused = apps::MakeBugApp(bug);
+    const apps::App unfused = apps::MakeBugApp(bug, {.correlate = false});
 
     EXPECT_TRUE(fused.compiled->correlation.changed);
     EXPECT_GE(fused.compiled->correlation.sets.size(), 1u);
@@ -188,9 +188,9 @@ class MultiVarBugDetectionTest : public ::testing::TestWithParam<std::size_t> {}
 
 TEST_P(MultiVarBugDetectionTest, DetectedOnlyWithCorrelation) {
   const apps::BugInfo& bug = apps::MultiVarBugCorpus()[GetParam()];
-  const apps::App fused = apps::MakeBugApp(bug, /*prune=*/true, /*correlate=*/true);
+  const apps::App fused = apps::MakeBugApp(bug);
   EXPECT_TRUE(DetectsWithin(fused, 200'000'000)) << "fused build missed the bug";
-  const apps::App unfused = apps::MakeBugApp(bug, /*prune=*/true, /*correlate=*/false);
+  const apps::App unfused = apps::MakeBugApp(bug, {.correlate = false});
   EXPECT_FALSE(DetectsWithin(unfused, 60'000'000))
       << "single-variable build convicted a bug its watch types cannot see";
 }

@@ -3,12 +3,6 @@
 #ifndef KIVATI_TESTS_TEST_UTIL_H_
 #define KIVATI_TESTS_TEST_UTIL_H_
 
-#include <algorithm>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "core/workload.h"
 #include "isa/program.h"
 #include "sched/machine.h"
 
@@ -34,22 +28,6 @@ inline MachineConfig SingleCoreConfig(Cycles quantum = 2000) {
   config.quantum = quantum;
   config.seed = 42;
   return config;
-}
-
-// The conflict analysis's thread roots for `workload`: each distinct thread
-// function with the number of threads started on it.
-inline std::vector<std::pair<std::string, int>> ThreadRoots(const Workload& workload) {
-  std::vector<std::pair<std::string, int>> roots;
-  for (const auto& [function, arg] : workload.threads) {
-    const auto it = std::find_if(roots.begin(), roots.end(),
-                                 [&](const auto& root) { return root.first == function; });
-    if (it == roots.end()) {
-      roots.emplace_back(function, 1);
-    } else {
-      ++it->second;
-    }
-  }
-  return roots;
 }
 
 inline MachineConfig DualCoreConfig(std::uint64_t seed = 42) {

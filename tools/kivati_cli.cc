@@ -766,6 +766,21 @@ CliOptions ParseArgs(int argc, char** argv) {
   return options;
 }
 
+// The annotator configuration that --interprocedural, --precise-aliasing,
+// --no-prune and --no-correlate select.
+FrontendOptions Frontend(const CliOptions& options) {
+  FrontendOptions frontend;
+  frontend.annotator = options.annotator;
+  frontend.prune = !options.no_prune;
+  frontend.correlate = !options.no_correlate;
+  return frontend;
+}
+
+// The registered-app scale: --app-workers, --app-iterations and Frontend.
+apps::LoadScale AppScale(const CliOptions& options) {
+  return {options.app_workers, options.app_iterations, Frontend(options)};
+}
+
 // The RunSpec implied by the single-run (run/train) options.
 exp::RunSpec SpecFromOptions(const CliOptions& options) {
   exp::RunSpec spec;
@@ -775,9 +790,7 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
     spec.source_path = options.file;
     spec.threads = options.threads;
   }
-  spec.scale.annotator = options.annotator;
-  spec.scale.prune = !options.no_prune;
-  spec.scale.correlate = !options.no_correlate;
+  spec.scale.frontend = Frontend(options);
   spec.machine.num_cores = options.cores;
   spec.machine.watchpoints_per_core = options.watchpoints;
   spec.machine.seed = options.seed;
@@ -794,9 +807,7 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
 
 int Annotate(const CliOptions& options) {
   CompileOptions compile_options;
-  compile_options.annotator = options.annotator;
-  compile_options.conflict.prune = !options.no_prune;
-  compile_options.correlate = !options.no_correlate;
+  compile_options.frontend = Frontend(options);
   const CompiledProgram compiled = CompileSource(ReadFile(options.file), compile_options);
   // With --json the machine-readable table owns stdout; the human table
   // joins any diagnostics on stderr (same convention as `run --json -`).
@@ -872,37 +883,15 @@ int Analyze(const CliOptions& options) {
   }
   std::shared_ptr<const CompiledProgram> compiled;
   if (!options.app.empty()) {
-    apps::LoadScale scale;
-    scale.workers = options.app_workers;
-    scale.iterations = options.app_iterations;
-    scale.annotator = options.annotator;
-    scale.prune = !options.no_prune;
-    scale.correlate = !options.no_correlate;
-    compiled = exp::MakeRegisteredApp(options.app, scale)->compiled;
+    compiled = exp::MakeRegisteredApp(options.app, AppScale(options))->compiled;
   } else {
     CompileOptions compile_options;
-    compile_options.annotator = options.annotator;
-    compile_options.conflict.prune = !options.no_prune;
-    compile_options.correlate = !options.no_correlate;
-    // --threads entries become the conflict analysis's thread roots: each
-    // distinct entry function with its number of occurrences.
-    for (const auto& [function, arg] : options.threads) {
-      (void)arg;
-      bool found = false;
-      for (auto& [name, count] : compile_options.conflict.roots) {
-        if (name == function) {
-          ++count;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        compile_options.conflict.roots.emplace_back(function, 1);
-      }
-    }
+    compile_options.frontend = Frontend(options);
+    // --threads entries become the conflict analysis's thread roots.
+    compile_options.roots = ThreadRoots(options.threads);
     auto program = std::make_shared<CompiledProgram>(
         CompileSource(ReadFile(options.file), compile_options));
-    for (const auto& [function, count] : compile_options.conflict.roots) {
+    for (const auto& [function, count] : compile_options.roots) {
       (void)count;
       if (program->program.FindFunction(function) == nullptr) {
         Fail("no function '" + function + "' in " + options.file);
@@ -1063,11 +1052,7 @@ int Compare(const CliOptions& options) {
   compare_options.app = options.app;
   compare_options.source_path = options.file;
   compare_options.threads = options.threads;
-  compare_options.scale.workers = options.app_workers;
-  compare_options.scale.iterations = options.app_iterations;
-  compare_options.scale.annotator = options.annotator;
-  compare_options.scale.prune = !options.no_prune;
-  compare_options.scale.correlate = !options.no_correlate;
+  compare_options.scale = AppScale(options);
   compare_options.machine.num_cores = options.cores;
   compare_options.machine.watchpoints_per_core = options.watchpoints;
   compare_options.machine.seed = options.seed;
@@ -1249,11 +1234,7 @@ int BenchInterp(const CliOptions& options) {
   spec.seed = options.seed;
   spec.watchpoints = options.watchpoints;
   spec.max_cycles = options.max_cycles;
-  spec.scale.workers = options.app_workers;
-  spec.scale.iterations = options.app_iterations;
-  spec.scale.annotator = options.annotator;
-  spec.scale.prune = !options.no_prune;
-  spec.scale.correlate = !options.no_correlate;
+  spec.scale = AppScale(options);
   spec.include_block = !options.fast_only;
   spec.include_fast = !options.block_only;
 
@@ -1322,11 +1303,7 @@ int Sweep(const CliOptions& options) {
   } else {
     Fail("sweep needs --apps or a source FILE");
   }
-  grid.base.scale.workers = options.app_workers;
-  grid.base.scale.iterations = options.app_iterations;
-  grid.base.scale.annotator = options.annotator;
-  grid.base.scale.prune = !options.no_prune;
-  grid.base.scale.correlate = !options.no_correlate;
+  grid.base.scale = AppScale(options);
   grid.base.machine.block_translate = !options.no_block_translate;
   grid.base.pause_ms = options.pause_ms;
   grid.base.whitelist_path = options.whitelist_path;
