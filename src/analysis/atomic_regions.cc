@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -100,23 +101,24 @@ std::unordered_map<int, std::int64_t> SingleConstDefs(const MirFunction& functio
   return result;
 }
 
-// Per-function pairing analysis: collects the function's shared-access
-// sites and CFG predecessors into a PairingProblem, solves it, and merges
-// the pairs sharing a first access into one AR each.
+// Pairing analysis: collects a function's shared-access sites and CFG
+// predecessors into a PairingProblem, solves it, and merges the pairs
+// sharing a first access into one AR each. One object serves every function
+// of a module, so its per-function arrays keep their storage.
 class PairAnalysis {
  public:
-  PairAnalysis(const MirModule& module, std::size_t function_index, const LsvResult& lsv,
-               const AnnotateOptions& options,
+  PairAnalysis(const MirModule& module, const AnnotateOptions& options,
                const std::vector<GlobalAccessSummary>* summaries)
       : module_(module),
-        function_(module.functions[function_index]),
-        lsv_(lsv),
         options_(options),
-        summaries_(summaries) {}
+        summaries_(summaries),
+        global_ids_(module.globals.size(), -1) {}
 
-  FunctionAnnotations Run(AccessPairs (*solver)(const PairingProblem&), ArId& next_id,
+  FunctionAnnotations Run(std::size_t function_index, const LsvResult& lsv,
+                          AccessPairs (*solver)(const PairingProblem&), ArId& next_id,
                           std::unordered_set<ArId>& sync_ars, std::vector<ArDebugInfo>& infos) {
-    CollectSites();
+    function_ = &module_.functions[function_index];
+    CollectSites(lsv);
     if (problem_.sites.empty()) {
       return {};
     }
@@ -125,9 +127,20 @@ class PairAnalysis {
   }
 
  private:
+  // Dense ids in order of first use: by base variable, or by element for a
+  // constant-index array access.
   int IdentityOf(const IdentityKey& key) {
-    auto [it, inserted] = identity_ids_.emplace(key, static_cast<int>(identity_ids_.size()));
-    return it->second;
+    if (key.elem >= 0) {
+      const auto [it, inserted] = element_ids_.emplace(key, problem_.num_identities);
+      problem_.num_identities += inserted;
+      return it->second;
+    }
+    int& id = key.space == VarRef::Space::kGlobal ? global_ids_[static_cast<std::size_t>(key.index)]
+                                                  : local_ids_[static_cast<std::size_t>(key.index)];
+    if (id < 0) {
+      id = problem_.num_identities++;
+    }
+    return id;
   }
 
   void AddSite(std::size_t op, const IdentityKey& key, AccessType type, const VarRef& var) {
@@ -135,20 +148,29 @@ class PairAnalysis {
     site_var_.push_back(var);
   }
 
-  void CollectSites() {
-    AliasClasses aliases(function_);
-    const auto const_defs =
-        options_.precise_aliasing ? SingleConstDefs(function_) : std::unordered_map<int, std::int64_t>{};
+  void CollectSites(const LsvResult& lsv) {
+    const MirFunction& function = *function_;
+    problem_.sites.clear();
+    problem_.num_identities = 0;
+    site_var_.clear();
+    local_ids_.assign(function.locals.size(), -1);
+    element_ids_.clear();
+    std::optional<AliasClasses> aliases;
+    std::unordered_map<int, std::int64_t> const_defs;
+    if (options_.precise_aliasing) {
+      aliases.emplace(function);
+      const_defs = SingleConstDefs(function);
+    }
 
-    for (std::size_t i = 0; i < function_.ops.size(); ++i) {
-      const MirOp& op = function_.ops[i];
+    for (std::size_t i = 0; i < function.ops.size(); ++i) {
+      const MirOp& op = function.ops[i];
       const auto access = SharedAccessOf(op);
-      if (access.has_value() && lsv_.Shared(access->base)) {
+      if (access.has_value() && lsv.Shared(access->base)) {
         IdentityKey key{access->base.space, access->base.index, -1};
         if (options_.precise_aliasing) {
           if (access->base.space == VarRef::Space::kLocal &&
               (op.kind == MirOp::Kind::kLoadPtr || op.kind == MirOp::Kind::kStorePtr)) {
-            key.index = aliases.Find(access->base.index);
+            key.index = aliases->Find(access->base.index);
           }
           if (op.kind == MirOp::Kind::kLoadIndex || op.kind == MirOp::Kind::kStoreIndex) {
             const auto it = const_defs.find(op.a);
@@ -159,34 +181,35 @@ class PairAnalysis {
         }
         AddSite(i, key, access->type, access->base);
       }
-      if (options_.interprocedural && op.kind == MirOp::Kind::kCall && summaries_ != nullptr) {
-        const MirFunction* callee = module_.FindFunction(op.callee);
-        if (callee != nullptr) {
-          const std::size_t callee_index =
-              static_cast<std::size_t>(callee - module_.functions.data());
-          for (const auto& [global, rw] : (*summaries_)[callee_index].globals) {
-            // The call stands for every access the callee may make to the
-            // global: pairs spanning the call become ARs around the call
-            // site. Writes dominate for pairing purposes.
-            const AccessType type = rw.second ? AccessType::kWrite : AccessType::kRead;
-            AddSite(i, IdentityKey{VarRef::Space::kGlobal, global, -1}, type,
-                    VarRef::Global(global));
-          }
+      if (options_.interprocedural && op.kind == MirOp::Kind::kCall && summaries_ != nullptr &&
+          op.callee_index >= 0) {
+        for (const auto& [global, rw] :
+             (*summaries_)[static_cast<std::size_t>(op.callee_index)].globals) {
+          // The call stands for every access the callee may make to the
+          // global: pairs spanning the call become ARs around the call
+          // site. Writes dominate for pairing purposes.
+          const AccessType type = rw.second ? AccessType::kWrite : AccessType::kRead;
+          AddSite(i, IdentityKey{VarRef::Space::kGlobal, global, -1}, type,
+                  VarRef::Global(global));
         }
       }
     }
-    problem_.num_identities = static_cast<int>(identity_ids_.size());
+    // Ready the global ids for the next function.
+    for (const VarRef& var : site_var_) {
+      if (var.space == VarRef::Space::kGlobal) {
+        global_ids_[static_cast<std::size_t>(var.index)] = -1;
+      }
+    }
   }
 
   // Counts each op's predecessors, then places them in ascending order.
   void ComputePredecessors() {
-    const std::size_t n = function_.ops.size();
+    const MirFunction& function = *function_;
+    const std::size_t n = function.ops.size();
     OpPredecessors& preds = problem_.preds;
     preds.start.assign(n + 1, 0);
-    std::vector<std::size_t> succs;
     for (std::size_t i = 0; i < n; ++i) {
-      SuccessorsOf(function_, i, succs);
-      for (const std::size_t s : succs) {
+      for (const std::size_t s : SuccessorsOf(function, i)) {
         ++preds.start[s + 1];
       }
     }
@@ -194,38 +217,46 @@ class PairAnalysis {
       preds.start[i + 1] += preds.start[i];
     }
     preds.flat.resize(preds.start[n]);
-    std::vector<std::size_t> next(preds.start.begin(), preds.start.end() - 1);
+    next_.assign(preds.start.begin(), preds.start.end() - 1);
     for (std::size_t i = 0; i < n; ++i) {
-      SuccessorsOf(function_, i, succs);
-      for (const std::size_t s : succs) {
-        preds.flat[next[s]++] = i;
+      for (const std::size_t s : SuccessorsOf(function, i)) {
+        preds.flat[next_[s]++] = i;
       }
     }
   }
 
+  // `pairs` is sorted, so each run of one first site is one AR (Figure 6).
   FunctionAnnotations BuildAnnotations(const AccessPairs& pairs, ArId& next_id,
                                        std::unordered_set<ArId>& sync_ars,
                                        std::vector<ArDebugInfo>& infos) {
+    const MirFunction& function = *function_;
     FunctionAnnotations annotations;
-    // Group pairs by first site; each group is one AR (Figure 6).
-    std::map<int, FunctionAr> by_first;
-    for (const auto& [first, second] : pairs) {
-      const AccessSite& a = problem_.sites[static_cast<std::size_t>(first)];
-      const AccessSite& b = problem_.sites[static_cast<std::size_t>(second)];
-      FunctionAr& ar = by_first[first];
-      if (ar.first_op < 0) {
-        ar.var = site_var_[static_cast<std::size_t>(first)];
-        ar.first_op = static_cast<int>(a.op);
-        ar.first_type = a.type;
-        ar.needs_replica = a.type == AccessType::kWrite;
-        if (ar.var.space == VarRef::Space::kGlobal) {
-          ar.is_sync = module_.globals[static_cast<std::size_t>(ar.var.index)].is_sync;
-        }
-      }
-      ar.watch = Union(ar.watch, RemoteWatchFor(a.type, b.type));
-      ar.ends.emplace_back(static_cast<int>(b.op), b.type);
+    std::size_t num_ars = 0;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      num_ars += p == 0 || pairs[p].first != pairs[p - 1].first;
     }
-    for (auto& [first, ar] : by_first) {
+    annotations.ars.reserve(num_ars);
+    for (std::size_t p = 0; p < pairs.size();) {
+      const int first = pairs[p].first;
+      std::size_t group_end = p;
+      while (group_end < pairs.size() && pairs[group_end].first == first) {
+        ++group_end;
+      }
+      const AccessSite& a = problem_.sites[static_cast<std::size_t>(first)];
+      FunctionAr ar;
+      ar.var = site_var_[static_cast<std::size_t>(first)];
+      ar.first_op = static_cast<int>(a.op);
+      ar.first_type = a.type;
+      ar.needs_replica = a.type == AccessType::kWrite;
+      if (ar.var.space == VarRef::Space::kGlobal) {
+        ar.is_sync = module_.globals[static_cast<std::size_t>(ar.var.index)].is_sync;
+      }
+      ar.ends.reserve(group_end - p);
+      for (; p < group_end; ++p) {
+        const AccessSite& b = problem_.sites[static_cast<std::size_t>(pairs[p].second)];
+        ar.watch = Union(ar.watch, RemoteWatchFor(a.type, b.type));
+        ar.ends.emplace_back(static_cast<int>(b.op), b.type);
+      }
       ar.id = next_id++;
       std::sort(ar.ends.begin(), ar.ends.end());
       ar.ends.erase(std::unique(ar.ends.begin(), ar.ends.end()), ar.ends.end());
@@ -234,30 +265,35 @@ class PairAnalysis {
       }
       ArDebugInfo info;
       info.id = ar.id;
-      info.function = function_.name;
+      info.function = function.name;
       info.variable = ar.var.space == VarRef::Space::kGlobal
                           ? module_.globals[static_cast<std::size_t>(ar.var.index)].name
-                          : function_.locals[static_cast<std::size_t>(ar.var.index)].name;
-      info.line = function_.ops[static_cast<std::size_t>(ar.first_op)].line;
+                          : function.locals[static_cast<std::size_t>(ar.var.index)].name;
+      info.line = function.ops[static_cast<std::size_t>(ar.first_op)].line;
       info.first_type = ar.first_type;
       info.watch = ar.watch;
       info.is_sync = ar.is_sync;
       info.num_ends = static_cast<int>(ar.ends.size());
-      infos.push_back(info);
+      infos.push_back(std::move(info));
       annotations.ars.push_back(std::move(ar));
     }
     return annotations;
   }
 
   const MirModule& module_;
-  const MirFunction& function_;
-  const LsvResult& lsv_;
   const AnnotateOptions& options_;
   const std::vector<GlobalAccessSummary>* summaries_;
 
+  // The function being analysed, and its state.
+  const MirFunction* function_ = nullptr;
   PairingProblem problem_;
   std::vector<VarRef> site_var_;  // per site: the variable it accesses
-  std::map<IdentityKey, int> identity_ids_;
+  // Identity ids: per global and per local, or -1 before first use; and the
+  // per-element identities of precise aliasing.
+  std::vector<int> global_ids_;
+  std::vector<int> local_ids_;
+  std::map<IdentityKey, int> element_ids_;
+  std::vector<std::size_t> next_;  // ComputePredecessors' fill cursors
 };
 
 }  // namespace
@@ -274,19 +310,22 @@ AccessPairs SolveAccessPairs(const PairingProblem& problem) {
   // pairs with. An op's input needs no storage: it is the OR of its
   // predecessors' outputs, which only grow, so a pass in which no output
   // grows has met the fixed point.
-  std::vector<Word> masks(static_cast<std::size_t>(problem.num_identities) * words, 0);
+  // All four live in one allocation.
+  const auto identities = static_cast<std::size_t>(problem.num_identities);
+  std::vector<Word> bits((identities + num_ops + num_sites + 1) * words, 0);
+  Word* const masks = bits.data();
+  Word* const out = masks + identities * words;
+  Word* const paired = out + num_ops * words;
+  Word* const state = paired + num_sites * words;
   for (std::size_t s = 0; s < num_sites; ++s) {
     masks[static_cast<std::size_t>(problem.sites[s].identity) * words + s / 64] |= bit(s);
   }
-  std::vector<Word> out(num_ops * words, 0);
-  std::vector<Word> paired(num_sites * words, 0);
-  std::vector<Word> state(words);
   bool changed = true;
   while (changed) {
     changed = false;
     std::size_t site = 0;
     for (std::size_t i = 0; i < num_ops; ++i) {
-      std::fill(state.begin(), state.end(), 0);
+      std::fill(state, state + words, 0);
       for (const std::size_t p : problem.preds[i]) {
         const Word* from = &out[p * words];
         for (std::size_t w = 0; w < words; ++w) {
@@ -316,7 +355,12 @@ AccessPairs SolveAccessPairs(const PairingProblem& problem) {
       }
     }
   }
+  std::size_t num_pairs = 0;
+  for (std::size_t w = 0; w < num_sites * words; ++w) {
+    num_pairs += static_cast<std::size_t>(std::popcount(paired[w]));
+  }
   AccessPairs pairs;
+  pairs.reserve(num_pairs);
   for (std::size_t first = 0; first < num_sites; ++first) {
     for (std::size_t w = 0; w < words; ++w) {
       for (Word seconds = paired[first * words + w]; seconds != 0; seconds &= seconds - 1) {
@@ -348,14 +392,10 @@ std::vector<GlobalAccessSummary> ComputeCallSummaries(const MirModule& module) {
     changed = false;
     for (std::size_t f = 0; f < module.functions.size(); ++f) {
       for (const MirOp& op : module.functions[f].ops) {
-        if (op.kind != MirOp::Kind::kCall) {
+        if (op.kind != MirOp::Kind::kCall || op.callee_index < 0) {
           continue;
         }
-        const MirFunction* callee = module.FindFunction(op.callee);
-        if (callee == nullptr) {
-          continue;
-        }
-        const std::size_t c = static_cast<std::size_t>(callee - module.functions.data());
+        const auto c = static_cast<std::size_t>(op.callee_index);
         for (const auto& [global, rw] : summaries[c].globals) {
           auto& mine = summaries[f].globals[global];
           const auto before = mine;
@@ -379,15 +419,15 @@ ModuleAnnotations Annotate(const MirModule& module, const AnnotateOptions& optio
     returns = ComputeReturnSharedness(module);
   }
   ArId next_id = 1;
+  PairAnalysis analysis(module, options, options.interprocedural ? &summaries : nullptr);
+  annotations.functions.reserve(module.functions.size());
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     // With inter-procedural summaries available, call results seed the LSV
     // only when the callee may actually return a pointer or shared value.
-    const LsvResult lsv = options.interprocedural
-                              ? ComputeLsv(module.functions[f], module, returns)
-                              : ComputeLsv(module.functions[f]);
+    const LsvResult lsv = options.interprocedural ? ComputeLsv(module.functions[f], returns)
+                                                  : ComputeLsv(module.functions[f]);
     annotations.functions.push_back(
-        PairAnalysis(module, f, lsv, options, options.interprocedural ? &summaries : nullptr)
-            .Run(solver, next_id, annotations.sync_ars, annotations.infos));
+        analysis.Run(f, lsv, solver, next_id, annotations.sync_ars, annotations.infos));
   }
   return annotations;
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <string_view>
-#include <unordered_map>
 
 #include "analysis/lockset.h"
 #include "common/report_envelope.h"
@@ -59,7 +57,13 @@ ConflictAnalyzer::ConflictAnalyzer(const MirModule& module, const LockFacts& loc
   }
   // Globals whose address escapes: a pointer dereference anywhere may reach
   // them (the module's aliasing assumption — pointers only target
-  // address-taken objects). Every shared access, listed once for all ARs.
+  // address-taken objects). Every shared access, listed once for all ARs;
+  // an op makes one at most.
+  std::size_t num_ops = 0;
+  for (const MirFunction& function : module.functions) {
+    num_ops += function.ops.size();
+  }
+  accesses_.reserve(num_ops);
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     const std::vector<MirOp>& ops = module.functions[f].ops;
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -92,15 +96,6 @@ void ConflictAnalyzer::AssignThreadClasses() {
     return;
   }
   home_.assign(n, kNoClass);
-  // Names resolve to the first function of that name, as FindFunction does.
-  std::unordered_map<std::string_view, int> index;
-  for (std::size_t f = 0; f < n; ++f) {
-    index.emplace(module_.functions[f].name, static_cast<int>(f));
-  }
-  const auto find = [&index](const std::string& name) {
-    const auto it = index.find(name);
-    return it == index.end() ? -1 : it->second;
-  };
   std::vector<int> class_root;
   std::vector<int> class_of_root(n, -1);
   const auto add_class = [&](int root, int threads) {
@@ -109,10 +104,11 @@ void ConflictAnalyzer::AssignThreadClasses() {
     class_threads_.push_back(threads);
   };
   for (const auto& [name, count] : options_.roots) {
-    const int root = find(name);
-    if (root < 0) {
+    const MirFunction* function = module_.FindFunction(name);
+    if (function == nullptr) {
       continue;
     }
+    const auto root = static_cast<int>(function - module_.functions.data());
     const int c = class_of_root[static_cast<std::size_t>(root)];
     if (c >= 0) {
       class_threads_[static_cast<std::size_t>(c)] += count;
@@ -134,7 +130,7 @@ void ConflictAnalyzer::AssignThreadClasses() {
         if (op.kind != MirOp::Kind::kCall && op.kind != MirOp::Kind::kSpawn) {
           continue;
         }
-        const int target = find(op.callee);
+        const int target = op.callee_index;
         if (target < 0) {
           continue;
         }
@@ -166,10 +162,9 @@ bool ConflictAnalyzer::Remote(std::size_t f, std::size_t g) const {
 ConflictReport ConflictAnalyzer::Run(const ModuleAnnotations& annotations) const {
   ConflictReport report;
   report.ars.resize(annotations.infos.size());
-  std::vector<std::pair<std::size_t, std::size_t>> site_ops;
   for (std::size_t f = 0; f < module_.functions.size(); ++f) {
     for (const FunctionAr& ar : annotations.functions[f].ars) {
-      ArConflict conflict = Classify(f, ar, site_ops);
+      ArConflict conflict = Classify(f, ar);
       switch (conflict.verdict) {
         case ArVerdict::kNoRemoteWriter:
           ++report.no_remote_writer;
@@ -191,15 +186,13 @@ ConflictReport ConflictAnalyzer::Run(const ModuleAnnotations& annotations) const
 }
 
 // Collects the concurrently reachable accesses the AR's watchpoint would
-// trap on, in (function, op) order; `site_ops` gets each site's (function,
+// trap on, in (function, op) order; `site_ops_` gets each site's (function,
 // op) for the lockset queries.
-ArConflict ConflictAnalyzer::Classify(
-    std::size_t f, const FunctionAr& ar,
-    std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const {
+ArConflict ConflictAnalyzer::Classify(std::size_t f, const FunctionAr& ar) const {
   ArConflict conflict;
   conflict.id = ar.id;
   conflict.pair_case = PairCase(ar);
-  site_ops.clear();
+  site_ops_.clear();
   const bool local_identity = ar.var.space == VarRef::Space::kLocal;
   const bool via_pointer_reachable =
       local_identity || address_taken_[static_cast<std::size_t>(ar.var.index)];
@@ -218,13 +211,13 @@ ArConflict ConflictAnalyzer::Classify(
     const MirFunction& fn = module_.functions[access.function];
     conflict.remote_sites.push_back(
         {fn.name, static_cast<int>(access.op), fn.ops[access.op].line, access.type, via_pointer});
-    site_ops.emplace_back(access.function, access.op);
+    site_ops_.emplace_back(access.function, access.op);
   }
   if (conflict.remote_sites.empty()) {
     conflict.verdict = ArVerdict::kNoRemoteWriter;
     return conflict;
   }
-  const int lock = FindProtectingLock(f, ar, site_ops);
+  const int lock = FindProtectingLock(f, ar);
   if (lock >= 0) {
     conflict.verdict = ArVerdict::kLockProtected;
     conflict.lock = module_.globals[static_cast<std::size_t>(lock)].name;
@@ -239,22 +232,19 @@ ArConflict ConflictAnalyzer::Classify(
 // dangerous remote site, or -1. An access hosted by a call op happens inside
 // the callee, possibly after the callee's unlocks, so what the callee may
 // release does not count there.
-int ConflictAnalyzer::FindProtectingLock(
-    std::size_t f, const FunctionAr& ar,
-    const std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const {
-  std::vector<int> ends;
-  ends.reserve(ar.ends.size());
+int ConflictAnalyzer::FindProtectingLock(std::size_t f, const FunctionAr& ar) const {
+  ends_.clear();
   for (const auto& [op, type] : ar.ends) {
-    ends.push_back(op);
+    ends_.push_back(op);
   }
-  LockSet held = locks_.HeldAcross(f, ar.first_op, ends);
+  LockSet held = locks_.HeldAcross(f, ar.first_op, ends_);
   locks_.ReleaseByCall(f, static_cast<std::size_t>(ar.first_op), held);
-  for (const int end : ends) {
+  for (const int end : ends_) {
     locks_.ReleaseByCall(f, static_cast<std::size_t>(end), held);
   }
   held.IntersectWith(sync_locks_.words());
-  for (std::size_t s = 0; s < site_ops.size() && !held.empty(); ++s) {
-    const auto [g, op] = site_ops[s];
+  for (std::size_t s = 0; s < site_ops_.size() && !held.empty(); ++s) {
+    const auto [g, op] = site_ops_[s];
     held.IntersectWith(locks_.must_held(g, op));
     locks_.ReleaseByCall(g, op, held);
   }

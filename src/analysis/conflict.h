@@ -100,7 +100,7 @@ struct ConflictReport {
 // which rewrites the annotations but never the module
 // (compile/compiler.cc). `locks` must be the module's own
 // (analysis/lockset.h). `module`, `locks` and `options` must outlive the
-// analyzer.
+// analyzer, which, like `locks`, is not safe to share across threads.
 class ConflictAnalyzer {
  public:
   ConflictAnalyzer(const MirModule& module, const LockFacts& locks,
@@ -122,10 +122,8 @@ class ConflictAnalyzer {
   // Whether code of function `g` may run on a thread concurrent with one
   // executing function `f`.
   bool Remote(std::size_t f, std::size_t g) const;
-  ArConflict Classify(std::size_t f, const FunctionAr& ar,
-                      std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const;
-  int FindProtectingLock(std::size_t f, const FunctionAr& ar,
-                         const std::vector<std::pair<std::size_t, std::size_t>>& site_ops) const;
+  ArConflict Classify(std::size_t f, const FunctionAr& ar) const;
+  int FindProtectingLock(std::size_t f, const FunctionAr& ar) const;
 
   const MirModule& module_;
   const LockFacts& locks_;
@@ -139,6 +137,10 @@ class ConflictAnalyzer {
   std::vector<bool> address_taken_;  // per global
   LockSet sync_locks_;               // lock words declared `sync`
   std::vector<Access> accesses_;     // in (function, op) order
+  // Scratch of one AR's classification, kept across ARs and runs: its
+  // remote sites' (function, op), and its end ops.
+  mutable std::vector<std::pair<std::size_t, std::size_t>> site_ops_;
+  mutable std::vector<int> ends_;
 };
 
 // One run of ConflictAnalyzer.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <string_view>
-#include <unordered_map>
 
 namespace kivati {
 namespace {
@@ -51,10 +49,9 @@ LockFacts::LockFacts(const MirModule& module) : module_(module) {
   // Lock words, and the globals any other access disqualifies.
   std::vector<bool> is_lock(module.globals.size(), false);
   std::vector<bool> tainted(module.globals.size(), false);
-  std::unordered_map<std::string_view, int> function_index;
+  op_base_.reserve(module.functions.size() + 1);
   op_base_.assign(1, 0);
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
-    function_index.emplace(module.functions[f].name, static_cast<int>(f));
     op_base_.push_back(op_base_.back() + module.functions[f].ops.size());
     for (const MirOp& op : module.functions[f].ops) {
       switch (op.kind) {
@@ -94,23 +91,14 @@ LockFacts::LockFacts(const MirModule& module) : module_(module) {
     }
   }
 
-  // Callees by index, the first function of a name winning as in
-  // MirModule::FindFunction. may_unlock: the function's own unlocks, then
-  // its callees' sets to a fixed point over the call graph (handles
-  // recursion). A call to an unresolvable name may release every trusted
-  // lock.
-  callee_.assign(op_base_.back(), -1);
+  // may_unlock: the function's own unlocks, then its callees' sets to a
+  // fixed point over the call graph (handles recursion). A call to an
+  // unresolvable name may release every trusted lock.
   may_unlock_.assign(module.functions.size() * words_, 0);
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
-    const std::vector<MirOp>& ops = module.functions[f].ops;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == MirOp::Kind::kCall) {
-        const auto it = function_index.find(ops[i].callee);
-        if (it != function_index.end()) {
-          callee_[op_base_[f] + i] = it->second;
-        }
-      } else if (ops[i].kind == MirOp::Kind::kUnlock) {
-        const auto bit = static_cast<std::size_t>(bit_of_[static_cast<std::size_t>(ops[i].global)]);
+    for (const MirOp& op : module.functions[f].ops) {
+      if (op.kind == MirOp::Kind::kUnlock) {
+        const auto bit = static_cast<std::size_t>(bit_of_[static_cast<std::size_t>(op.global)]);
         may_unlock_[f * words_ + bit / 64] |= Word{1} << (bit % 64);
       }
     }
@@ -120,12 +108,11 @@ LockFacts::LockFacts(const MirModule& module) : module_(module) {
     changed = false;
     for (std::size_t f = 0; f < module.functions.size(); ++f) {
       Word* mine = may_unlock_.data() + f * words_;
-      const std::vector<MirOp>& ops = module.functions[f].ops;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].kind != MirOp::Kind::kCall) {
+      for (const MirOp& op : module.functions[f].ops) {
+        if (op.kind != MirOp::Kind::kCall) {
           continue;
         }
-        const int callee = callee_[op_base_[f] + i];
+        const int callee = op.callee_index;
         const Word* from =
             callee < 0 ? trusted_.data()
                        : may_unlock_.data() + static_cast<std::size_t>(callee) * words_;
@@ -137,6 +124,7 @@ LockFacts::LockFacts(const MirModule& module) : module_(module) {
     }
   }
   solved_.assign(module.functions.size(), false);
+  out_.resize(words_);
 }
 
 std::vector<int> LockFacts::Globals(std::span<const Word> set) const {
@@ -165,7 +153,7 @@ void LockFacts::Apply(std::size_t function, std::size_t op, Word* set, bool acqu
       break;
     }
     case MirOp::Kind::kCall: {
-      const int callee = callee_[op_base_[function] + op];
+      const int callee = mir.callee_index;
       if (callee < 0) {
         std::fill(set, set + words_, 0);  // unresolvable callee: may release anything
         break;
@@ -201,17 +189,15 @@ void LockFacts::SolveMustHeld(std::size_t function) const {
   for (std::size_t i = 1; i < n; ++i) {
     std::copy(trusted_.begin(), trusted_.end(), in + i * words_);
   }
-  std::vector<Word> out(words_);
-  std::vector<std::size_t> succs;
+  Word* const out = out_.data();
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      std::copy(in + i * words_, in + (i + 1) * words_, out.begin());
-      Apply(function, i, out.data(), /*acquire=*/true);
-      SuccessorsOf(fn, i, succs);
-      for (const std::size_t s : succs) {
-        changed |= IntersectInto(in + s * words_, out.data(), words_);
+      std::copy(in + i * words_, in + (i + 1) * words_, out);
+      Apply(function, i, out, /*acquire=*/true);
+      for (const std::size_t s : SuccessorsOf(fn, i)) {
+        changed |= IntersectInto(in + s * words_, out, words_);
       }
     }
   }
@@ -228,7 +214,7 @@ std::span<const LockFacts::Word> LockFacts::must_held(std::size_t function,
   return {must_held_.data() + (op_base_[function] + op) * words_, words_};
 }
 
-LockSet LockFacts::HeldAcross(std::size_t function, int from, const std::vector<int>& to) const {
+LockSet LockFacts::HeldAcross(std::size_t function, int from, std::span<const int> to) const {
   LockSet result(must_held(function, static_cast<std::size_t>(from)));
   if (result.empty() || to.empty()) {
     result.clear();
@@ -240,31 +226,29 @@ LockSet LockFacts::HeldAcross(std::size_t function, int from, const std::vector<
   // atomic region's window.
   const MirFunction& fn = module_.functions[function];
   const auto start = static_cast<std::size_t>(from);
-  std::vector<Word> value(fn.ops.size() * words_);
-  std::vector<bool> reached(fn.ops.size(), false);
-  std::copy(result.words().begin(), result.words().end(), value.begin() + start * words_);
-  reached[start] = true;
+  value_.resize(fn.ops.size() * words_);
+  reached_.assign(fn.ops.size(), false);
+  std::copy(result.words().begin(), result.words().end(), value_.begin() + start * words_);
+  reached_[start] = true;
 
-  std::vector<Word> out(words_);
-  std::vector<std::size_t> succs;
-  std::vector<std::size_t> worklist{start};
-  while (!worklist.empty()) {
-    const std::size_t i = worklist.back();
-    worklist.pop_back();
-    std::copy(value.begin() + i * words_, value.begin() + (i + 1) * words_, out.begin());
-    Apply(function, i, out.data(), /*acquire=*/false);
-    SuccessorsOf(fn, i, succs);
-    for (const std::size_t s : succs) {
+  Word* const out = out_.data();
+  worklist_.assign(1, start);
+  while (!worklist_.empty()) {
+    const std::size_t i = worklist_.back();
+    worklist_.pop_back();
+    std::copy(value_.begin() + i * words_, value_.begin() + (i + 1) * words_, out);
+    Apply(function, i, out, /*acquire=*/false);
+    for (const std::size_t s : SuccessorsOf(fn, i)) {
       if (s == start) {
         continue;  // window restarts at the first access
       }
-      Word* into = value.data() + s * words_;
-      if (!reached[s]) {
-        reached[s] = true;
-        std::copy(out.begin(), out.end(), into);
-        worklist.push_back(s);
-      } else if (IntersectInto(into, out.data(), words_)) {
-        worklist.push_back(s);
+      Word* into = value_.data() + s * words_;
+      if (!reached_[s]) {
+        reached_[s] = true;
+        std::copy(out, out + words_, into);
+        worklist_.push_back(s);
+      } else if (IntersectInto(into, out, words_)) {
+        worklist_.push_back(s);
       }
     }
   }
@@ -273,8 +257,8 @@ LockSet LockFacts::HeldAcross(std::size_t function, int from, const std::vector<
   // vacuously.
   for (const int end : to) {
     const auto e = static_cast<std::size_t>(end);
-    if (reached[e]) {
-      result.IntersectWith({value.data() + e * words_, words_});
+    if (reached_[e]) {
+      result.IntersectWith({value_.data() + e * words_, words_});
     }
   }
   return result;
@@ -284,7 +268,7 @@ void LockFacts::ReleaseByCall(std::size_t function, std::size_t op, LockSet& hel
   if (module_.functions[function].ops[op].kind != MirOp::Kind::kCall) {
     return;
   }
-  const int callee = callee_[op_base_[function] + op];
+  const int callee = module_.functions[function].ops[op].callee_index;
   if (callee < 0) {
     held.clear();
   } else {

@@ -19,8 +19,8 @@
 //    window for a remote lock-protected access, so continuity is what the
 //    lock-protected verdict requires.
 //
-// Every set is a bit set over the module's lock words (LockSet), and every
-// call op's callee is resolved to a function index once, at construction.
+// Every set is a bit set over the module's lock words (LockSet). Call ops
+// name their callee by index (MirOp::callee_index).
 #ifndef KIVATI_ANALYSIS_LOCKSET_H_
 #define KIVATI_ANALYSIS_LOCKSET_H_
 
@@ -88,7 +88,7 @@ class LockFacts {
   // (evaluated at the entry of each target op). Paths that loop back
   // through `from` restart the window, matching begin_atomic semantics (the
   // kernel tracks the most recent first access).
-  LockSet HeldAcross(std::size_t function, int from, const std::vector<int>& to) const;
+  LockSet HeldAcross(std::size_t function, int from, std::span<const int> to) const;
 
   // Clears from `held` what op `op` may release if it is a call: its
   // callee's may-unlock set, or everything when the callee is unresolvable.
@@ -108,10 +108,15 @@ class LockFacts {
   std::vector<Word> trusted_;
   std::vector<Word> may_unlock_;      // words_ per function
   std::vector<std::size_t> op_base_;  // per function, and one past: first op in the flat tables
-  std::vector<int> callee_;           // per op: the callee's function index, or -1
   // Per op, words_ each; solved[f] says whether function f's are filled in.
   mutable std::vector<Word> must_held_;
   mutable std::vector<bool> solved_;
+  // Scratch of the data-flow solvers, kept across calls: one op's output
+  // set, and HeldAcross's per-op values, reached flags and worklist.
+  mutable std::vector<Word> out_;
+  mutable std::vector<Word> value_;
+  mutable std::vector<bool> reached_;
+  mutable std::vector<std::size_t> worklist_;
 };
 
 }  // namespace kivati

@@ -1,12 +1,11 @@
 #include "analysis/lsv.h"
 
-#include <functional>
-
 namespace kivati {
 namespace {
 
-LsvResult ComputeLsvImpl(const MirFunction& function,
-                         const std::function<bool(const MirOp&)>& call_shared) {
+// `call_shared(op)`: whether the result of call op `op` seeds the LSV.
+template <typename CallShared>
+LsvResult ComputeLsvImpl(const MirFunction& function, const CallShared& call_shared) {
   LsvResult result;
   result.local_in_lsv.assign(function.locals.size(), false);
   auto mark = [&result](int local) -> bool {
@@ -92,15 +91,12 @@ LsvResult ComputeLsv(const MirFunction& function) {
   return ComputeLsvImpl(function, [](const MirOp&) { return true; });
 }
 
-LsvResult ComputeLsv(const MirFunction& function, const MirModule& module,
-                     const ReturnSharedness& returns) {
+LsvResult ComputeLsv(const MirFunction& function, const ReturnSharedness& returns) {
   return ComputeLsvImpl(function, [&](const MirOp& op) {
-    const MirFunction* callee = module.FindFunction(op.callee);
-    if (callee == nullptr) {
+    if (op.callee_index < 0) {
       return true;  // unresolvable (builtins never reach here, but stay safe)
     }
-    return static_cast<bool>(
-        returns.returns_shared[static_cast<std::size_t>(callee - module.functions.data())]);
+    return static_cast<bool>(returns.returns_shared[static_cast<std::size_t>(op.callee_index)]);
   });
 }
 
@@ -121,7 +117,7 @@ ReturnSharedness ComputeReturnSharedness(const MirModule& module) {
       if (returns.returns_shared[f] || !module.functions[f].returns_value) {
         continue;
       }
-      const LsvResult lsv = ComputeLsv(module.functions[f], module, returns);
+      const LsvResult lsv = ComputeLsv(module.functions[f], returns);
       for (const MirOp& op : module.functions[f].ops) {
         if (op.kind == MirOp::Kind::kRet && op.a >= 0 &&
             lsv.local_in_lsv[static_cast<std::size_t>(op.a)]) {

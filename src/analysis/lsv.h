@@ -44,8 +44,7 @@ ReturnSharedness ComputeReturnSharedness(const MirModule& module);
 
 // Precise form used under inter-procedural analysis: only calls whose callee
 // may return a pointer or a shared-derived value seed the LSV.
-LsvResult ComputeLsv(const MirFunction& function, const MirModule& module,
-                     const ReturnSharedness& returns);
+LsvResult ComputeLsv(const MirFunction& function, const ReturnSharedness& returns);
 
 }  // namespace kivati
 

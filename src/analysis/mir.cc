@@ -50,13 +50,13 @@ std::optional<VarAccess> SharedAccessOf(const MirOp& op) {
   }
 }
 
-void SuccessorsOf(const MirFunction& function, std::size_t index, std::vector<std::size_t>& out) {
-  out.clear();
+Successors SuccessorsOf(const MirFunction& function, std::size_t index) {
+  Successors out;
   // Branch targets may be one-past-the-end (a jump to the function exit);
   // those edges leave the CFG and are dropped.
   const auto add = [&](std::size_t target) {
     if (target < function.ops.size()) {
-      out.push_back(target);
+      out.ops_[out.size_++] = target;
     }
   };
   const MirOp& op = function.ops[index];
@@ -75,6 +75,7 @@ void SuccessorsOf(const MirFunction& function, std::size_t index, std::vector<st
       add(index + 1);
       break;
   }
+  return out;
 }
 
 namespace {

@@ -13,6 +13,7 @@
 #ifndef KIVATI_ANALYSIS_MIR_H_
 #define KIVATI_ANALYSIS_MIR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -49,6 +50,24 @@ struct VarRef {
   bool valid() const { return space != Space::kNone; }
   static VarRef Global(int index) { return {Space::kGlobal, index}; }
   static VarRef Local(int index) { return {Space::kLocal, index}; }
+};
+
+// A call's argument locals, at most kMaxArgs (the register arguments; the
+// lowering rejects more), stored in the op.
+class CallArgs {
+ public:
+  static constexpr std::size_t kMaxArgs = 4;
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  int operator[](std::size_t i) const { return args_[i]; }
+  const int* begin() const { return args_; }
+  const int* end() const { return args_ + size_; }
+  void push_back(int local) { args_[size_++] = local; }
+
+ private:
+  int args_[kMaxArgs] = {};
+  std::uint8_t size_ = 0;
 };
 
 struct MirOp {
@@ -92,7 +111,11 @@ struct MirOp {
   VarRef array;         // k*Index: the array
   int local_mem = -1;   // kLoadLocalMem/kStoreLocalMem/kAddrLocal: the local
   std::string callee;
-  std::vector<int> args;
+  // kCall/kSpawn: the callee's index in MirModule::functions, resolved once
+  // by BuildMir to the first function of that name (as FindFunction does),
+  // or -1 when no function has the name.
+  int callee_index = -1;
+  CallArgs args;
   int target = -1;
   int target2 = -1;
   int line = 0;
@@ -127,8 +150,20 @@ struct VarAccess {
 // lock/unlock return nullopt. lock/unlock report a write to the lock global.
 std::optional<VarAccess> SharedAccessOf(const MirOp& op);
 
-// Successor op indices of `op` at index `index` (for CFG traversal).
-void SuccessorsOf(const MirFunction& function, std::size_t index, std::vector<std::size_t>& out);
+// The successor op indices of one op: at most two.
+class Successors {
+ public:
+  const std::size_t* begin() const { return ops_; }
+  const std::size_t* end() const { return ops_ + size_; }
+
+ private:
+  friend Successors SuccessorsOf(const MirFunction& function, std::size_t index);
+  std::size_t ops_[2] = {};
+  std::size_t size_ = 0;
+};
+
+// Successor op indices of the op at `index` (for CFG traversal).
+Successors SuccessorsOf(const MirFunction& function, std::size_t index);
 
 // Human-readable dump for debugging and tests.
 std::string ToString(const MirFunction& function, const MirModule& module);

@@ -1,5 +1,7 @@
 #include "analysis/mir_builder.h"
 
+#include <algorithm>
+#include <span>
 #include <string_view>
 #include <unordered_set>
 
@@ -21,7 +23,7 @@ class AddressTakenScanner {
 
   std::size_t nodes() const { return nodes_; }
 
-  void Scan(const std::vector<StmtPtr>& body) {
+  void Scan(const NodeList<StmtPtr>& body) {
     for (const auto& stmt : body) {
       ScanStmt(*stmt);
     }
@@ -65,28 +67,39 @@ class AddressTakenScanner {
   std::size_t nodes_ = 0;
 };
 
+// Lowers one function per Run call. One object serves a whole module, so its
+// scope, loop and address-taken scratch keep their storage from one
+// function to the next.
 class FunctionLowerer {
  public:
-  FunctionLowerer(const MirModule& module, const Function& ast) : module_(module), ast_(ast) {}
+  // `functions` is every function's (name, index), sorted.
+  FunctionLowerer(const MirModule& module,
+                  std::span<const std::pair<std::string_view, int>> functions)
+      : module_(module), functions_(functions) {}
 
-  MirFunction Run() {
-    out_.name = ast_.name;
-    out_.returns_value = ast_.returns_value;
-    out_.returns_pointer = ast_.returns_pointer;
-    out_.num_params = static_cast<unsigned>(ast_.params.size());
+  MirFunction Run(const Function& ast) {
+    ast_ = &ast;
+    out_ = MirFunction{};
+    names_.clear();
+    scope_marks_.clear();
+    address_taken_.clear();
+    out_.name = ast.name;
+    out_.returns_value = ast.returns_value;
+    out_.returns_pointer = ast.returns_pointer;
+    out_.num_params = static_cast<unsigned>(ast.params.size());
     if (out_.num_params > 4) {
-      throw LoweringError("function '" + ast_.name + "' has more than 4 parameters");
+      throw LoweringError("function '" + ast.name + "' has more than 4 parameters");
     }
 
     AddressTakenScanner scanner(address_taken_);
-    scanner.Scan(ast_.body);
+    scanner.Scan(ast.body);
     // A statement or expression lowers to at most one op and one local, as
     // a rule (the apps and corpus bugs average 0.73 ops and 0.55 locals).
     out_.ops.reserve(scanner.nodes() + 1);
-    out_.locals.reserve(ast_.params.size() + scanner.nodes());
+    out_.locals.reserve(ast.params.size() + scanner.nodes());
 
     // The function scope holds the parameters.
-    for (const Param& param : ast_.params) {
+    for (const Param& param : ast.params) {
       names_.emplace_back(param.name, static_cast<int>(out_.locals.size()));
       out_.locals.push_back({.name = param.name,
                              .is_pointer = param.is_pointer,
@@ -94,7 +107,7 @@ class FunctionLowerer {
                              .address_taken = address_taken_.contains(param.name)});
     }
 
-    LowerBlock(ast_.body);
+    LowerBlock(ast.body);
     // Guarantee a terminator on the fall-off path.
     if (out_.ops.empty() || (out_.ops.back().kind != MirOp::Kind::kRet &&
                              out_.ops.back().kind != MirOp::Kind::kJmp &&
@@ -119,7 +132,7 @@ class FunctionLowerer {
   int DeclareLocal(const Stmt& decl) {
     for (std::size_t i = scope_marks_.back(); i < names_.size(); ++i) {
       if (names_[i].first == decl.decl_name) {
-        throw LoweringError("redeclaration of '" + decl.decl_name + "' in " + ast_.name);
+        throw LoweringError("redeclaration of '" + decl.decl_name + "' in " + ast_->name);
       }
     }
     const int index = static_cast<int>(out_.locals.size());
@@ -149,6 +162,38 @@ class FunctionLowerer {
   void CloseScope() {
     names_.resize(scope_marks_.back());
     scope_marks_.pop_back();
+  }
+
+  // The first function named `name` (MirModule::FindFunction's rule), or -1.
+  int CalleeIndex(std::string_view name) const {
+    const auto it = std::lower_bound(functions_.begin(), functions_.end(),
+                                     std::pair<std::string_view, int>(name, -1));
+    return it != functions_.end() && it->first == name ? it->second : -1;
+  }
+
+  // Lowers a user call's arguments, all of them before rejecting too many.
+  CallArgs LowerCallArgs(const Expr& call) {
+    CallArgs args;
+    for (const auto& arg : call.args) {
+      const int local = LowerExpr(*arg);
+      if (args.size() < CallArgs::kMaxArgs) {
+        args.push_back(local);
+      }
+    }
+    if (call.args.size() > CallArgs::kMaxArgs) {
+      throw LoweringError("call to '" + call.name + "' has more than 4 arguments");
+    }
+    return args;
+  }
+
+  // Patches the break and continue jumps of the innermost loop.
+  void CloseLoop(int continue_target, int break_target) {
+    for (std::size_t i = loop_marks_.back(); i < jumps_.size(); ++i) {
+      out_.ops[static_cast<std::size_t>(jumps_[i].op)].target =
+          jumps_[i].is_break ? break_target : continue_target;
+    }
+    jumps_.resize(loop_marks_.back());
+    loop_marks_.pop_back();
   }
 
   // Resolves a name to a local or global; throws if unknown.
@@ -265,16 +310,10 @@ class FunctionLowerer {
         if (IsBuiltinName(expr.name)) {
           throw LoweringError("builtin '" + expr.name + "' cannot be used in an expression");
         }
-        std::vector<int> args;
-        for (const auto& arg : expr.args) {
-          args.push_back(LowerExpr(*arg));
-        }
-        if (args.size() > 4) {
-          throw LoweringError("call to '" + expr.name + "' has more than 4 arguments");
-        }
+        const CallArgs args = LowerCallArgs(expr);
         const int temp = NewTemp();
         Emit({.kind = MirOp::Kind::kCall, .dst = temp, .callee = expr.name,
-              .args = std::move(args), .line = expr.line});
+              .callee_index = CalleeIndex(expr.name), .args = args, .line = expr.line});
         return temp;
       }
     }
@@ -283,7 +322,7 @@ class FunctionLowerer {
 
   // --- Statements ------------------------------------------------------------
 
-  void LowerBlock(const std::vector<StmtPtr>& body) {
+  void LowerBlock(const NodeList<StmtPtr>& body) {
     OpenScope();
     for (const auto& stmt : body) {
       LowerStmt(*stmt);
@@ -324,19 +363,12 @@ class FunctionLowerer {
         const int cond = LowerExpr(*stmt.cond);
         const int branch = Emit({.kind = MirOp::Kind::kBr, .a = cond, .line = stmt.line});
         out_.ops[branch].target = static_cast<int>(out_.ops.size());
-        loops_.emplace_back();
+        loop_marks_.push_back(jumps_.size());
         LowerBlock(stmt.body);
-        const LoopContext loop = loops_.back();
-        loops_.pop_back();
-        for (const int jump : loop.continues) {
-          out_.ops[jump].target = head;
-        }
         Emit({.kind = MirOp::Kind::kJmp, .target = head, .line = stmt.line});
         const int exit = static_cast<int>(out_.ops.size());
         out_.ops[branch].target2 = exit;
-        for (const int jump : loop.breaks) {
-          out_.ops[jump].target = exit;
-        }
+        CloseLoop(/*continue_target=*/head, /*break_target=*/exit);
         return;
       }
       case Stmt::Kind::kFor: {
@@ -352,15 +384,10 @@ class FunctionLowerer {
           branch = Emit({.kind = MirOp::Kind::kBr, .a = cond, .line = stmt.line});
           out_.ops[branch].target = static_cast<int>(out_.ops.size());
         }
-        loops_.emplace_back();
+        loop_marks_.push_back(jumps_.size());
         LowerBlock(stmt.body);
-        const LoopContext loop = loops_.back();
-        loops_.pop_back();
         // `continue` in a for loop runs the step before re-testing.
         const int step_at = static_cast<int>(out_.ops.size());
-        for (const int jump : loop.continues) {
-          out_.ops[jump].target = step_at;
-        }
         if (stmt.for_step) {
           LowerStmt(*stmt.for_step);
         }
@@ -369,9 +396,7 @@ class FunctionLowerer {
         if (branch >= 0) {
           out_.ops[branch].target2 = exit;
         }
-        for (const int jump : loop.breaks) {
-          out_.ops[jump].target = exit;
-        }
+        CloseLoop(/*continue_target=*/step_at, /*break_target=*/exit);
         CloseScope();
         return;
       }
@@ -388,15 +413,11 @@ class FunctionLowerer {
       }
       case Stmt::Kind::kBreak:
       case Stmt::Kind::kContinue: {
-        if (loops_.empty()) {
-          throw LoweringError("'break'/'continue' outside of a loop in " + ast_.name);
+        if (loop_marks_.empty()) {
+          throw LoweringError("'break'/'continue' outside of a loop in " + ast_->name);
         }
         const int jump = Emit({.kind = MirOp::Kind::kJmp, .target = -1, .line = stmt.line});
-        if (stmt.kind == Stmt::Kind::kBreak) {
-          loops_.back().breaks.push_back(jump);
-        } else {
-          loops_.back().continues.push_back(jump);
-        }
+        jumps_.push_back({jump, stmt.kind == Stmt::Kind::kBreak});
         return;
       }
       case Stmt::Kind::kSpawn: {
@@ -407,12 +428,12 @@ class FunctionLowerer {
         if (call.args.size() > 1) {
           throw LoweringError("spawned function takes at most one argument");
         }
-        std::vector<int> args;
+        CallArgs args;
         if (!call.args.empty()) {
           args.push_back(LowerExpr(*call.args[0]));
         }
-        Emit({.kind = MirOp::Kind::kSpawn, .callee = call.name, .args = std::move(args),
-              .line = stmt.line});
+        Emit({.kind = MirOp::Kind::kSpawn, .callee = call.name,
+              .callee_index = CalleeIndex(call.name), .args = args, .line = stmt.line});
         return;
       }
     }
@@ -512,19 +533,14 @@ class FunctionLowerer {
       throw LoweringError("'now()' result must be used");
     }
     // Plain user call for effect.
-    std::vector<int> args;
-    for (const auto& arg : call.args) {
-      args.push_back(LowerExpr(*arg));
-    }
-    if (args.size() > 4) {
-      throw LoweringError("call to '" + name + "' has more than 4 arguments");
-    }
-    Emit({.kind = MirOp::Kind::kCall, .dst = -1, .callee = name, .args = std::move(args),
-          .line = call.line});
+    const CallArgs args = LowerCallArgs(call);
+    Emit({.kind = MirOp::Kind::kCall, .dst = -1, .callee = name,
+          .callee_index = CalleeIndex(name), .args = args, .line = call.line});
   }
 
   const MirModule& module_;
-  const Function& ast_;
+  const std::span<const std::pair<std::string_view, int>> functions_;
+  const Function* ast_ = nullptr;
   MirFunction out_;
   // The named locals in scope as (name, local index), innermost last; each
   // block scope begins at a mark. The parameters sit below every mark.
@@ -532,13 +548,15 @@ class FunctionLowerer {
   std::vector<std::size_t> scope_marks_;
   std::unordered_set<std::string_view> address_taken_;
 
-  // Innermost-loop context for break/continue: indices of emitted kJmp ops
-  // whose targets are patched when the loop's bounds are known.
-  struct LoopContext {
-    std::vector<int> breaks;
-    std::vector<int> continues;
+  // The emitted break/continue kJmp ops of the loops being lowered,
+  // innermost last, each loop's from a mark; their targets are patched when
+  // the loop's bounds are known.
+  struct PendingJump {
+    int op = -1;
+    bool is_break = false;
   };
-  std::vector<LoopContext> loops_;
+  std::vector<PendingJump> jumps_;
+  std::vector<std::size_t> loop_marks_;
 };
 
 }  // namespace
@@ -555,12 +573,21 @@ MirModule BuildMir(const TranslationUnit& unit) {
                               .array_size = g.array_size,
                               .init_value = g.init_value});
   }
+  // Calls and spawns name their callee; each is resolved to a function index
+  // once, here, against this table sorted by (name, index).
+  std::vector<std::pair<std::string_view, int>> functions;
+  functions.reserve(unit.functions.size());
+  for (std::size_t f = 0; f < unit.functions.size(); ++f) {
+    functions.emplace_back(unit.functions[f].name, static_cast<int>(f));
+  }
+  std::sort(functions.begin(), functions.end());
   module.functions.reserve(unit.functions.size());
+  FunctionLowerer lowerer(module, functions);
   for (const Function& f : unit.functions) {
     if (IsBuiltinName(f.name)) {
       throw LoweringError("function name '" + f.name + "' collides with a builtin");
     }
-    module.functions.push_back(FunctionLowerer(module, f).Run());
+    module.functions.push_back(lowerer.Run(f));
   }
   return module;
 }

@@ -42,8 +42,31 @@ bool SwapsOperands(BinOp op) { return op == BinOp::kGt || op == BinOp::kGe; }
 class FunctionCodegen {
  public:
   FunctionCodegen(ProgramBuilder& builder, const MirModule& module,
-                  const std::unordered_set<ArId>* pruned)
-      : b_(builder), module_(module), pruned_(pruned) {}
+                  const ModuleAnnotations* annotations, const std::unordered_set<ArId>* pruned)
+      : b_(builder), module_(module), pruned_(pruned) {
+    // Size the per-function arrays for the largest function, so that they
+    // never grow. An AR makes one mark per begin and end, and one replica
+    // per begin or end at most.
+    std::size_t ops = 0;
+    std::size_t locals = 0;
+    std::size_t marks = 0;
+    for (std::size_t i = 0; i < module.functions.size(); ++i) {
+      ops = std::max(ops, module.functions[i].ops.size());
+      locals = std::max(locals, module.functions[i].locals.size());
+      if (annotations != nullptr) {
+        std::size_t here = 0;
+        for (const FunctionAr& ar : annotations->functions[i].ars) {
+          here += 1 + ar.ends.size();
+        }
+        marks = std::max(marks, here);
+      }
+    }
+    op_labels_.reserve(ops + 1);
+    slot_off_.reserve(locals);
+    for (std::vector<Mark>* list : {&begins_, &ends_, &replicas_}) {
+      list->reserve(marks);
+    }
+  }
 
   void Run(const MirFunction& function, const FunctionAnnotations* annotations) {
     f_ = &function;
@@ -111,12 +134,12 @@ class FunctionCodegen {
         continue;  // statically proven unviolable: drop all its annotations
       }
       const auto first = static_cast<std::size_t>(ar.first_op);
-      begins_.push_back({first, &ar});
+      Add(begins_, {first, &ar});
       if (ar.needs_replica) {
-        replicas_.push_back({first, &ar});
+        Add(replicas_, {first, &ar});
       }
       for (const auto& [op, type] : ar.ends) {
-        ends_.push_back({static_cast<std::size_t>(op), &ar, type});
+        Add(ends_, {static_cast<std::size_t>(op), &ar, type});
         // A write-type second access also refreshes the AR's shared-page
         // value: a remote access trapped between this write and the
         // end_atomic must be rolled back to the post-write value. Fused
@@ -124,13 +147,16 @@ class FunctionCodegen {
         // that op's value belongs to the other variable, so only ops that
         // touch this AR's own variable (or calls, which reload it) refresh.
         if (type == AccessType::kWrite && EndAccessesOwnVar(ar, op)) {
-          replicas_.push_back({static_cast<std::size_t>(op), &ar});
+          Add(replicas_, {static_cast<std::size_t>(op), &ar});
         }
       }
     }
-    const auto by_op = [](const Mark& a, const Mark& b) { return a.op < b.op; };
+    // By op; marks at one op keep the order they were added in.
+    const auto by_op = [](const Mark& a, const Mark& b) {
+      return a.op != b.op ? a.op < b.op : a.seq < b.seq;
+    };
     for (std::vector<Mark>* marks : {&begins_, &ends_, &replicas_}) {
-      std::stable_sort(marks->begin(), marks->end(), by_op);
+      std::sort(marks->begin(), marks->end(), by_op);
     }
   }
 
@@ -413,7 +439,13 @@ class FunctionCodegen {
     std::size_t op = 0;
     const FunctionAr* ar = nullptr;
     AccessType type = AccessType::kRead;
+    std::uint32_t seq = 0;  // position in its list before sorting
   };
+
+  static void Add(std::vector<Mark>& marks, Mark mark) {
+    mark.seq = static_cast<std::uint32_t>(marks.size());
+    marks.push_back(mark);
+  }
 
   ProgramBuilder& b_;
   const MirModule& module_;
@@ -444,7 +476,7 @@ Program GenerateCode(const MirModule& module, const ModuleAnnotations* annotatio
   }
   ProgramBuilder builder;
   builder.Reserve(3 * ops + 4 * module.functions.size(), ops + 2 * module.functions.size());
-  FunctionCodegen codegen(builder, module, pruned);
+  FunctionCodegen codegen(builder, module, annotations, pruned);
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
     codegen.Run(module.functions[i], annotations != nullptr ? &annotations->functions[i] : nullptr);
   }

@@ -118,6 +118,10 @@ std::vector<RunRecord> ExperimentRunner::RunAll(const std::vector<RunSpec>& spec
     if (spec.app.empty() || spec.prebuilt != nullptr) {
       continue;
     }
+    // Label by the registered name, as Execute does, before the name goes.
+    if (spec.label.empty()) {
+      spec.label = SpecLabel(spec);
+    }
     // Keyed on the whole scale: every field of it is a factory input.
     auto [it, inserted] = cache.try_emplace(std::pair(spec.app, spec.scale));
     if (inserted) {

@@ -32,14 +32,27 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   TranslationUnit Run() {
-    TranslationUnit unit;
     while (Peek().kind != TokenKind::kEof) {
-      ParseTopLevel(unit);
+      ParseTopLevel(unit_);
     }
-    return unit;
+    return std::move(unit_);
   }
 
  private:
+  template <typename T>
+  NodePtr<T> New() {
+    return unit_.arena.New<T>();
+  }
+
+  // Moves the nodes `scratch` gained since `mark` into a list in the arena.
+  template <typename T>
+  NodeList<T> TakeList(std::vector<T>& scratch, std::size_t mark) {
+    NodeList<T> list =
+        unit_.arena.MoveList(scratch.data() + mark, scratch.data() + scratch.size());
+    scratch.resize(mark);
+    return list;
+  }
+
   const Token& Peek(std::size_t ahead = 0) const {
     const std::size_t index = std::min(pos_ + ahead, tokens_.size() - 1);
     return tokens_[index];
@@ -111,7 +124,7 @@ class Parser {
     while (Match(TokenKind::kStar)) {
       is_pointer = true;
     }
-    const Token name = Expect(TokenKind::kIdentifier, "after type");
+    const Token& name = Expect(TokenKind::kIdentifier, "after type");
 
     if (Check(TokenKind::kLParen)) {
       if (is_sync) {
@@ -130,14 +143,14 @@ class Parser {
     global.is_sync = is_sync;
     global.line = name.line;
     if (Match(TokenKind::kLBracket)) {
-      const Token size = Expect(TokenKind::kIntLiteral, "as array size");
+      const Token& size = Expect(TokenKind::kIntLiteral, "as array size");
       if (size.int_value <= 0) {
         Fail("array size must be positive");
       }
       global.array_size = size.int_value;
       Expect(TokenKind::kRBracket, "after array size");
     } else if (Match(TokenKind::kAssign)) {
-      const Token init = Expect(TokenKind::kIntLiteral, "as global initializer");
+      const Token& init = Expect(TokenKind::kIntLiteral, "as global initializer");
       global.init_value = init.int_value;
     }
     Expect(TokenKind::kSemicolon, "after global declaration");
@@ -154,13 +167,13 @@ class Parser {
     if (!Check(TokenKind::kRParen)) {
       do {
         Expect(TokenKind::kKwInt, "as parameter type");
-        Param param;
+        Param& param = params_.emplace_back();
         while (Match(TokenKind::kStar)) {
           param.is_pointer = true;
         }
         param.name = Expect(TokenKind::kIdentifier, "as parameter name").text;
-        function.params.push_back(std::move(param));
       } while (Match(TokenKind::kComma));
+      function.params = TakeList(params_, 0);
     }
     Expect(TokenKind::kRParen, "after parameter list");
     Expect(TokenKind::kLBrace, "to open function body");
@@ -169,15 +182,15 @@ class Parser {
   }
 
   // Parses statements until the closing '}' (which is consumed).
-  std::vector<StmtPtr> ParseBlock() {
-    std::vector<StmtPtr> body;
+  NodeList<StmtPtr> ParseBlock() {
+    const std::size_t mark = stmts_.size();
     while (!Match(TokenKind::kRBrace)) {
       if (Check(TokenKind::kEof)) {
         Fail("unterminated block");
       }
-      body.push_back(ParseStatement());
+      stmts_.push_back(ParseStatement());
     }
-    return body;
+    return TakeList(stmts_, mark);
   }
 
   // --- Statements ------------------------------------------------------------
@@ -199,7 +212,7 @@ class Parser {
         return ParseSpawn();
       case TokenKind::kKwBreak:
       case TokenKind::kKwContinue: {
-        auto stmt = std::make_unique<Stmt>();
+        StmtPtr stmt = New<Stmt>();
         stmt->kind = Peek().kind == TokenKind::kKwBreak ? Stmt::Kind::kBreak
                                                         : Stmt::Kind::kContinue;
         stmt->line = Peek().line;
@@ -213,7 +226,7 @@ class Parser {
   }
 
   StmtPtr ParseDecl() {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->kind = Stmt::Kind::kDecl;
     stmt->line = Peek().line;
     Expect(TokenKind::kKwInt, "in declaration");
@@ -222,7 +235,7 @@ class Parser {
     }
     stmt->decl_name = Expect(TokenKind::kIdentifier, "as variable name").text;
     if (Match(TokenKind::kLBracket)) {
-      const Token size = Expect(TokenKind::kIntLiteral, "as array size");
+      const Token& size = Expect(TokenKind::kIntLiteral, "as array size");
       if (size.int_value <= 0) {
         Fail("array size must be positive");
       }
@@ -236,7 +249,7 @@ class Parser {
   }
 
   StmtPtr ParseIf() {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->kind = Stmt::Kind::kIf;
     stmt->line = Peek().line;
     Expect(TokenKind::kKwIf, "");
@@ -248,7 +261,9 @@ class Parser {
     if (Match(TokenKind::kKwElse)) {
       if (Check(TokenKind::kKwIf)) {
         const Nest nest(*this);
-        stmt->else_body.push_back(ParseIf());
+        const std::size_t mark = stmts_.size();
+        stmts_.push_back(ParseIf());
+        stmt->else_body = TakeList(stmts_, mark);
       } else {
         Expect(TokenKind::kLBrace, "after 'else' (braces are required)");
         stmt->else_body = ParseBlock();
@@ -258,7 +273,7 @@ class Parser {
   }
 
   StmtPtr ParseWhile() {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->kind = Stmt::Kind::kWhile;
     stmt->line = Peek().line;
     Expect(TokenKind::kKwWhile, "");
@@ -274,7 +289,7 @@ class Parser {
   }
 
   StmtPtr ParseFor() {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->kind = Stmt::Kind::kFor;
     stmt->line = Peek().line;
     Expect(TokenKind::kKwFor, "");
@@ -302,7 +317,7 @@ class Parser {
   }
 
   StmtPtr ParseReturn() {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->kind = Stmt::Kind::kReturn;
     stmt->line = Peek().line;
     Expect(TokenKind::kKwReturn, "");
@@ -314,7 +329,7 @@ class Parser {
   }
 
   StmtPtr ParseSpawn() {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->kind = Stmt::Kind::kSpawn;
     stmt->line = Peek().line;
     Expect(TokenKind::kKwSpawn, "");
@@ -329,7 +344,7 @@ class Parser {
 
   // Assignment or expression statement.
   StmtPtr ParseSimpleStatement(bool expect_semicolon) {
-    auto stmt = std::make_unique<Stmt>();
+    StmtPtr stmt = New<Stmt>();
     stmt->line = Peek().line;
     ExprPtr first = ParseExpr();
     if (Match(TokenKind::kAssign)) {
@@ -408,9 +423,9 @@ class Parser {
         return lhs;
       }
       nest.Deeper();  // the chain so far becomes the left operand
-      const Token op = Advance();
+      const Token& op = Advance();
       ExprPtr rhs = ParseBinary(precedence + 1);
-      auto node = std::make_unique<Expr>();
+      ExprPtr node = New<Expr>();
       node->kind = Expr::Kind::kBinary;
       node->op = BinOpOf(op.kind);
       node->lhs = std::move(lhs);
@@ -423,14 +438,14 @@ class Parser {
   ExprPtr ParseUnary() {
     const Nest nest(*this);
     if (Match(TokenKind::kStar)) {
-      auto node = std::make_unique<Expr>();
+      ExprPtr node = New<Expr>();
       node->kind = Expr::Kind::kDeref;
       node->line = Peek().line;
       node->lhs = ParseUnary();
       return node;
     }
     if (Match(TokenKind::kAmp)) {
-      auto node = std::make_unique<Expr>();
+      ExprPtr node = New<Expr>();
       node->kind = Expr::Kind::kAddrOf;
       node->line = Peek().line;
       node->name = Expect(TokenKind::kIdentifier, "after '&'").text;
@@ -443,10 +458,10 @@ class Parser {
     }
     if (Match(TokenKind::kMinus)) {
       // Unary minus: 0 - x.
-      auto zero = std::make_unique<Expr>();
+      ExprPtr zero = New<Expr>();
       zero->kind = Expr::Kind::kIntLit;
       zero->int_value = 0;
-      auto node = std::make_unique<Expr>();
+      ExprPtr node = New<Expr>();
       node->kind = Expr::Kind::kBinary;
       node->op = BinOp::kSub;
       node->lhs = std::move(zero);
@@ -459,8 +474,8 @@ class Parser {
 
   ExprPtr ParsePrimary() {
     if (Check(TokenKind::kIntLiteral)) {
-      const Token token = Advance();
-      auto node = std::make_unique<Expr>();
+      const Token& token = Advance();
+      ExprPtr node = New<Expr>();
       node->kind = Expr::Kind::kIntLit;
       node->int_value = token.int_value;
       node->line = token.line;
@@ -472,22 +487,24 @@ class Parser {
       return inner;
     }
     if (Check(TokenKind::kIdentifier)) {
-      const Token name = Advance();
+      const Token& name = Advance();
       if (Match(TokenKind::kLParen)) {
-        auto node = std::make_unique<Expr>();
+        ExprPtr node = New<Expr>();
         node->kind = Expr::Kind::kCall;
         node->name = name.text;
         node->line = name.line;
         if (!Check(TokenKind::kRParen)) {
+          const std::size_t mark = exprs_.size();
           do {
-            node->args.push_back(ParseExpr());
+            exprs_.push_back(ParseExpr());
           } while (Match(TokenKind::kComma));
+          node->args = TakeList(exprs_, mark);
         }
         Expect(TokenKind::kRParen, "after call arguments");
         return node;
       }
       if (Match(TokenKind::kLBracket)) {
-        auto node = std::make_unique<Expr>();
+        ExprPtr node = New<Expr>();
         node->kind = Expr::Kind::kIndex;
         node->name = name.text;
         node->line = name.line;
@@ -495,7 +512,7 @@ class Parser {
         Expect(TokenKind::kRBracket, "after index");
         return node;
       }
-      auto node = std::make_unique<Expr>();
+      ExprPtr node = New<Expr>();
       node->kind = Expr::Kind::kVar;
       node->name = name.text;
       node->line = name.line;
@@ -504,9 +521,18 @@ class Parser {
     Fail(std::string("unexpected token ") + ToString(Peek().kind) + " in expression");
   }
 
+  // Declared first, so the arena outlives the scratch lists' nodes when a
+  // ParseError unwinds.
+  TranslationUnit unit_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   int depth_ = 0;  // current nesting (Nest)
+  // The statements of the blocks being parsed, and the arguments of the
+  // calls being parsed, innermost last; each list begins at a mark. Then
+  // the parameters of the function being parsed.
+  std::vector<StmtPtr> stmts_;
+  std::vector<ExprPtr> exprs_;
+  std::vector<Param> params_;
 };
 
 }  // namespace

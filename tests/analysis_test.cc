@@ -240,7 +240,7 @@ TEST(LsvTest, SummariesSeedOnlySharedReturningCalls) {
   )");
   const ReturnSharedness returns = ComputeReturnSharedness(m);
   const MirFunction& f = Fn(m, "f");
-  const LsvResult precise = ComputeLsv(f, m, returns);
+  const LsvResult precise = ComputeLsv(f, returns);
   const LsvResult conservative = ComputeLsv(f);
   int a = -1;
   int p = -1;

@@ -459,10 +459,8 @@ std::vector<std::set<int>> ReferenceMustHeld(const MirModule& module, const MirF
   }
   in[0].clear();
   std::vector<std::vector<std::size_t>> preds(n);
-  std::vector<std::size_t> succs;
   for (std::size_t i = 0; i < n; ++i) {
-    SuccessorsOf(function, i, succs);
-    for (const std::size_t s : succs) {
+    for (const std::size_t s : SuccessorsOf(function, i)) {
       preds[s].push_back(i);
     }
   }
@@ -513,15 +511,13 @@ std::set<int> ReferenceLocksHeldAcross(const MirModule& module, const MirFunctio
   std::vector<std::set<int>> value(n, start);
   std::vector<bool> reached(n, false);
   reached[static_cast<std::size_t>(from)] = true;
-  std::vector<std::size_t> succs;
   std::vector<std::size_t> worklist{static_cast<std::size_t>(from)};
   while (!worklist.empty()) {
     const std::size_t i = worklist.back();
     worklist.pop_back();
     std::set<int> out = value[i];
     ReferenceApplyKills(module, function.ops[i], summaries, out);
-    SuccessorsOf(function, i, succs);
-    for (const std::size_t s : succs) {
+    for (const std::size_t s : SuccessorsOf(function, i)) {
       if (s == static_cast<std::size_t>(from)) {
         continue;
       }

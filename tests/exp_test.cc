@@ -324,6 +324,28 @@ TEST(RunnerTest, AppCacheKeysOnTheWholeScale) {
             SweepReportJson(alone, 2, 0.0, /*include_wall_clock=*/false));
 }
 
+TEST(RunnerTest, UnlabelledAppSpecsAreLabelledAsExecuteLabelsThem) {
+  // SpecGrid and the CLI always set labels; a hand-built spec may not.
+  RunSpec base;
+  base.app = "vlc";
+  base.scale.iterations = 30;
+  base.budget = 2'000'000;
+  std::vector<RunSpec> specs(2, base);
+  specs[1].preset = OptimizationPreset::kBase;
+
+  RunnerOptions options;
+  options.workers = 2;
+  const std::vector<RunRecord> together = ExperimentRunner(options).RunAll(specs);
+  std::vector<RunRecord> alone;
+  for (const RunSpec& spec : specs) {
+    alone.push_back(Execute(spec));
+  }
+  ASSERT_EQ(together.size(), 2u);
+  EXPECT_EQ(together[0].label.rfind("vlc/", 0), 0u) << together[0].label;
+  EXPECT_EQ(SweepReportJson(together, 2, 0.0, /*include_wall_clock=*/false),
+            SweepReportJson(alone, 2, 0.0, /*include_wall_clock=*/false));
+}
+
 TEST(RunnerTest, RecordsComeBackInSpecOrder) {
   SpecGrid grid;
   grid.base.prebuilt = TinyApp();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
+#include <vector>
 
 #include "mem/address_space.h"
 #include "sched/machine.h"
@@ -394,6 +396,147 @@ TEST(MachineTest, BlockEngineMatchesPerInstructionLoop) {
     EXPECT_EQ(run_once(true, seed), run_once(false, seed)) << "seed=" << seed;
   }
 }
+
+// --- Watchpoint exits of fused memory accesses ------------------------------
+//
+// The block engine runs a memory op fused only when MustLeave proves that no
+// access of it can touch an armed watchpoint; otherwise the op leaves for
+// ExecuteOne, which matches the slots and delivers the trap. Each case arms
+// one slot on exactly the address one access of one op touches, with the
+// watch type of that access alone, so only that op traps.
+
+// Counts the traps the machine delivers; every other hook does nothing.
+class TrapCounter final : public KivatiHooks {
+ public:
+  using Trap = std::tuple<ThreadId, CoreId, unsigned, Addr, unsigned, AccessType,
+                          std::uint64_t, ProgramCounter>;
+  void OnBeginAtomic(ThreadId, const Instruction&, Addr) override {}
+  void OnEndAtomic(ThreadId, const Instruction&) override {}
+  void OnClearAr(ThreadId, std::uint32_t) override {}
+  bool OnWatchpointTrap(ThreadId thread, CoreId core, unsigned slot, const MemAccess& access,
+                        ProgramCounter trap_pc) override {
+    traps.emplace_back(thread, core, slot, access.addr, access.size, access.type,
+                       access.old_value, trap_pc);
+    return false;
+  }
+  void OnKernelEntry(CoreId) override {}
+  void OnContextSwitch(CoreId, ThreadId, ThreadId) override {}
+  void OnSuspensionTimeout(ThreadId) override {}
+  void OnThreadExit(ThreadId) override {}
+
+  std::vector<Trap> traps;
+};
+
+// The stack slot main's first push (or call) writes: the one below the
+// thread-exit return address SpawnThread pushes.
+const Addr kPushSlot = AddressSpace::StackTop(0) - 16;
+
+struct FusedAccessCase {
+  const char* name;
+  // Emits the op under test (and what it needs) into main.
+  std::function<void(ProgramBuilder&)> emit;
+  Addr watch_addr;
+  WatchType watch;
+};
+
+void EmitCallF(ProgramBuilder& b) { b.Call("f"); }
+void EmitCallIndF(ProgramBuilder& b) {
+  b.LoadFunctionAddress(1, "f");
+  b.Store(MemOperand::Absolute(kVarA), 1);
+  EmitDelay(b, 3);
+  b.CallInd(MemOperand::Absolute(kVarA));
+}
+
+class FusedAccessTest : public ::testing::TestWithParam<FusedAccessCase> {};
+
+TEST_P(FusedAccessTest, TrapsAsInThePerInstructionLoop) {
+  const FusedAccessCase& c = GetParam();
+  struct Outcome {
+    std::vector<TrapCounter::Trap> traps;
+    Cycles cycles = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t fused = 0;
+  };
+  const auto run = [&c](bool block_translate) {
+    ProgramBuilder b;
+    b.BeginFunction("main");
+    b.LoadImm(1, 5);
+    b.LoadImm(2, 9);
+    EmitDelay(b, 4);
+    c.emit(b);
+    EmitDelay(b, 4);
+    b.Halt();
+    b.EndFunction();
+    b.BeginFunction("f");
+    b.LoadImm(4, 1);
+    b.Ret();
+    b.EndFunction();
+
+    MachineConfig config = SingleCoreConfig();
+    config.block_translate = block_translate;
+    Machine m(b.Build(), config);
+    TrapCounter hooks;
+    m.set_hooks(&hooks);
+    m.core_debug_regs(0).Set(2, c.watch_addr, 8, c.watch);
+    m.SpawnThreadByName("main", 0);
+    const RunResult result = m.Run();
+    EXPECT_TRUE(result.all_done);
+    return Outcome{hooks.traps, result.cycles, result.instructions, m.fused_instructions()};
+  };
+  const Outcome block = run(true);
+  const Outcome loop = run(false);
+  ASSERT_EQ(loop.traps.size(), 1u) << "the case must arm exactly one trap";
+  EXPECT_EQ(std::get<2>(loop.traps[0]), 2u);
+  EXPECT_EQ(std::get<3>(loop.traps[0]), c.watch_addr);
+  EXPECT_EQ(block.traps, loop.traps);
+  EXPECT_EQ(block.cycles, loop.cycles);
+  EXPECT_EQ(block.instructions, loop.instructions);
+  EXPECT_GT(block.fused, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryAccess, FusedAccessTest,
+    ::testing::Values(
+        FusedAccessCase{"Load",
+                        [](ProgramBuilder& b) { b.Load(3, MemOperand::Absolute(kVarA)); },
+                        kVarA, WatchType::kRead},
+        FusedAccessCase{"Store",
+                        [](ProgramBuilder& b) { b.Store(MemOperand::Absolute(kVarA), 1); },
+                        kVarA, WatchType::kWrite},
+        FusedAccessCase{"MovMSource",
+                        [](ProgramBuilder& b) {
+                          b.MovM(MemOperand::Absolute(kVarB), MemOperand::Absolute(kVarA));
+                        },
+                        kVarA, WatchType::kRead},
+        FusedAccessCase{"MovMDestination",
+                        [](ProgramBuilder& b) {
+                          b.MovM(MemOperand::Absolute(kVarB), MemOperand::Absolute(kVarA));
+                        },
+                        kVarB, WatchType::kWrite},
+        FusedAccessCase{"Xchg",
+                        [](ProgramBuilder& b) { b.Xchg(3, MemOperand::Absolute(kVarA), 1); },
+                        kVarA, WatchType::kReadWrite},
+        FusedAccessCase{"Push", [](ProgramBuilder& b) { b.Push(1); }, kPushSlot,
+                        WatchType::kWrite},
+        FusedAccessCase{"PushMSource",
+                        [](ProgramBuilder& b) { b.PushM(MemOperand::Absolute(kVarA)); }, kVarA,
+                        WatchType::kRead},
+        FusedAccessCase{"PushMSlot",
+                        [](ProgramBuilder& b) { b.PushM(MemOperand::Absolute(kVarA)); },
+                        kPushSlot, WatchType::kWrite},
+        FusedAccessCase{"Pop",
+                        [](ProgramBuilder& b) {
+                          b.Push(1);  // a write: the read watch ignores it
+                          EmitDelay(b, 3);
+                          b.Pop(3);
+                        },
+                        kPushSlot, WatchType::kRead},
+        FusedAccessCase{"CallSlot", EmitCallF, kPushSlot, WatchType::kWrite},
+        FusedAccessCase{"CallIndTarget", EmitCallIndF, kVarA, WatchType::kRead},
+        FusedAccessCase{"CallIndSlot", EmitCallIndF, kPushSlot, WatchType::kWrite},
+        // The call's push is a write, which the read watch ignores.
+        FusedAccessCase{"Ret", EmitCallF, kPushSlot, WatchType::kRead}),
+    [](const ::testing::TestParamInfo<FusedAccessCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace kivati
